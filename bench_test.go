@@ -66,7 +66,7 @@ func BenchmarkFig10FactorTime(b *testing.B)          { benchExperiment(b, "fig10
 
 func BenchmarkAblationPlacement(b *testing.B) { benchExperiment(b, "ablation-placement") }
 func BenchmarkAblationFusion(b *testing.B)    { benchExperiment(b, "ablation-fusion") }
-func BenchmarkPipelineProfile(b *testing.B)   { benchExperiment(b, "pipeline") }
+func BenchmarkStageProfile(b *testing.B)      { benchExperiment(b, "profile") }
 
 // Kernel micro-benchmarks.
 
@@ -201,79 +201,27 @@ func BenchmarkKFACStep(b *testing.B) {
 	}
 }
 
-// BenchmarkKFACStepEngines compares the synchronous and pipelined step
-// engines on a full factor + eigendecomposition update of a ResNet-scale
-// layer list (a deep CIFAR ResNet with dozens of preconditioned conv and
-// linear layers). On multi-core hosts the pipelined engine wins by running
-// the per-layer eigendecompositions (and covariance computations) in
-// parallel; both engines produce bit-identical preconditioned gradients
-// (TestPipelinedEngineMatchesSyncSameSeed).
-func BenchmarkKFACStepEngines(b *testing.B) {
-	for _, engine := range []kfac.Engine{kfac.EngineSync, kfac.EnginePipelined} {
-		b.Run(engine.String(), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(6))
-			net := models.BuildCIFARResNet(2, 16, 3, 10, rng)
-			prec := kfac.NewFromOptions(net, nil, kfac.Options{
-				FactorUpdateFreq: 1, InvUpdateFreq: 1, Damping: 1e-3, Engine: engine,
-			})
-			defer prec.Close()
-			x := tensor.Randn(rng, 1, 8, 3, 16, 16)
-			labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
-			ce := nn.CrossEntropy{}
-			out := net.Forward(x, true)
-			_, grad := ce.Loss(out, labels)
-			nn.ZeroGrads(net)
-			net.Backward(grad)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := prec.Step(0.1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// TestPipelinedEngineMatchesSyncSameSeed is the cross-engine equality gate:
-// from identical seeds, several full steps under EngineSync and
-// EnginePipelined must leave exactly the same preconditioned gradients on
-// every layer (tolerance zero — the engines share chunk boundaries,
-// collective payloads, and reduction order).
-func TestPipelinedEngineMatchesSyncSameSeed(t *testing.T) {
-	run := func(engine kfac.Engine) []*tensor.Tensor {
-		rng := rand.New(rand.NewSource(6))
-		net := models.BuildCIFARResNet(1, 8, 3, 10, rng)
-		prec := kfac.NewFromOptions(net, nil, kfac.Options{
-			FactorUpdateFreq: 1, InvUpdateFreq: 2, Damping: 1e-3, Engine: engine,
-		})
-		defer prec.Close()
-		ce := nn.CrossEntropy{}
-		for step := 0; step < 3; step++ {
-			srng := rand.New(rand.NewSource(int64(100 + step)))
-			x := tensor.Randn(srng, 1, 8, 3, 16, 16)
-			labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
-			out := net.Forward(x, true)
-			_, grad := ce.Loss(out, labels)
-			nn.ZeroGrads(net)
-			net.Backward(grad)
-			if err := prec.Step(0.1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var grads []*tensor.Tensor
-		for _, p := range net.Params() {
-			grads = append(grads, p.Grad.Clone())
-		}
-		return grads
-	}
-	want := run(kfac.EngineSync)
-	got := run(kfac.EnginePipelined)
-	if len(want) != len(got) {
-		t.Fatalf("param count mismatch: %d vs %d", len(want), len(got))
-	}
-	for i := range want {
-		if !want[i].Equal(got[i], 0) {
-			t.Errorf("param %d: pipelined gradient differs from sync", i)
+// BenchmarkKFACStepFullUpdate times a Step that updates factors and
+// eigendecompositions of a ResNet-scale layer list (a deep CIFAR ResNet
+// with dozens of preconditioned conv and linear layers); on multi-core
+// hosts the eig scheduler decomposes factors in parallel.
+func BenchmarkKFACStepFullUpdate(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	net := models.BuildCIFARResNet(2, 16, 3, 10, rng)
+	prec := kfac.NewFromOptions(net, nil, kfac.Options{
+		FactorUpdateFreq: 1, InvUpdateFreq: 1, Damping: 1e-3,
+	})
+	x := tensor.Randn(rng, 1, 8, 3, 16, 16)
+	labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	ce := nn.CrossEntropy{}
+	out := net.Forward(x, true)
+	_, grad := ce.Loss(out, labels)
+	nn.ZeroGrads(net)
+	net.Backward(grad)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := prec.Step(0.1); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -7,11 +7,11 @@
 //
 //	kfac-bench -list              # show all experiment IDs
 //	kfac-bench -exp table1        # run one experiment
-//	kfac-bench -exp pipeline      # pipelined vs synchronous step-engine profile
+//	kfac-bench -exp profile       # measured K-FAC stage profile at several worlds
 //	kfac-bench -exp chaos         # step-time degradation vs injected latency
 //	kfac-bench -all               # run everything
 //	kfac-bench -all -quick        # smoke-test scale (seconds instead of minutes)
-//	kfac-bench -json -out bench/  # write BENCH_*.json (engines × model sizes,
+//	kfac-bench -json -out bench/  # write BENCH_*.json (model sizes × precision,
 //	                              # plus the dist_* distribution-mode axis)
 //	kfac-bench -json -short       # tiny-model JSON smoke run (the CI artifact job)
 //
@@ -50,7 +50,7 @@ Experiment selection:
 
 Benchmark JSON mode:
   -json         run the benchmark matrix and write BENCH_<scenario>.json:
-                the (model × engine) step-engine cells plus the dist_* axis
+                the single-process <model>_sync[_f32] cells plus the dist_* axis
                 ({COMM-OPT, MEM-OPT, HYBRID} × grad-worker fraction, with
                 per-rank peak factor memory)
   -out DIR      output directory for BENCH_*.json (default ".")

@@ -6,7 +6,6 @@
 // Examples:
 //
 //	kfac-train -optimizer kfac -world 4 -epochs 8
-//	kfac-train -optimizer kfac -engine pipelined -world 4
 //	kfac-train -optimizer sgd -epochs 12 -batch 64
 //	kfac-train -optimizer kfac -strategy layerwise -inv-freq 20
 //	kfac-train -world 4 -chaos -chaos-latency 500us -chaos-drop 0.05
@@ -43,7 +42,7 @@ import (
 )
 
 // usage prints the flag reference grouped by family; the default
-// alphabetical PrintDefaults interleaves chaos, engine, and training knobs
+// alphabetical PrintDefaults interleaves chaos, K-FAC, and training knobs
 // unhelpfully.
 func usage() {
 	fmt.Fprintf(flag.CommandLine.Output(), `kfac-train — train the synthetic CIFAR stand-in with SGD or distributed K-FAC
@@ -58,7 +57,6 @@ Training:
   -seed N                 random seed (default 42)
 
 K-FAC (with -optimizer kfac):
-  -engine {sync,pipelined}             step engine; pipelined overlaps compute and comm
   -strategy {roundrobin,layerwise,greedy}  factor placement across workers
   -mode {eigen,inverse}                inversion path (Table I ablation)
   -precision {f64,f32}                 compute precision of the K-FAC kernels; f32 runs
@@ -98,7 +96,6 @@ Chaos injection (needs -world > 1):
 
 Examples:
   kfac-train -optimizer kfac -world 4 -epochs 8
-  kfac-train -optimizer kfac -engine pipelined -world 4
   kfac-train -optimizer sgd -epochs 12 -batch 64
   kfac-train -optimizer kfac -strategy layerwise -inv-freq 20
   kfac-train -optimizer kfac -world 4 -dist-mode memopt
@@ -108,7 +105,7 @@ Examples:
   kfac-train -optimizer kfac -world 4 -autotune -chaos -chaos-bandwidth 2e6
   kfac-train -world 4 -chaos -chaos-latency 500us -chaos-drop 0.05
 
-Tuning guidance (engine choice, staleness, fusion, distribution modes):
+Tuning guidance (staleness, fusion, distribution modes):
 docs/PERFORMANCE.md.
 `)
 }
@@ -119,7 +116,6 @@ func main() {
 		strategy  = flag.String("strategy", "roundrobin", "kfac distribution: roundrobin, layerwise, greedy")
 		mode      = flag.String("mode", "eigen", "kfac inversion: eigen or inverse")
 		precision = flag.String("precision", "f64", "kfac compute precision: f64 or f32 (float32 kernels, float64 accumulation)")
-		engine    = flag.String("engine", "sync", "kfac step engine: sync or pipelined")
 		world     = flag.Int("world", 1, "number of simulated workers (in-process ranks)")
 		epochs    = flag.Int("epochs", 8, "training epochs")
 		batch     = flag.Int("batch", 32, "mini-batch size per rank")
@@ -276,24 +272,15 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-autotune-interval requires -autotune")
 			os.Exit(2)
 		}
-		switch *engine {
-		case "pipelined":
-			kopts = append(kopts, kfac.WithEngine(kfac.EnginePipelined))
-		case "sync":
-			// default engine
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -engine %q (want sync or pipelined)\n", *engine)
-			os.Exit(2)
-		}
 		opts = append(opts, trainer.WithKFAC(kopts...))
 	}
 
 	build := func(rng *rand.Rand) *nn.Sequential {
 		return models.BuildCIFARResNet(*blocks, *width, 3, 10, rng)
 	}
-	fmt.Printf("model: cifar-resnet-%d width %d (%d params), optimizer %s (%s engine), world %d\n",
+	fmt.Printf("model: cifar-resnet-%d width %d (%d params), optimizer %s, world %d\n",
 		6**blocks+2, *width, nn.ParamCount(build(rand.New(rand.NewSource(*seed)))),
-		*optimizer, *engine, *world)
+		*optimizer, *world)
 
 	var chaosFab *comm.ChaosFabric
 	var res *trainer.Result
@@ -372,9 +359,8 @@ func printChaosMetrics(fab *comm.ChaosFabric, world int) {
 	}
 }
 
-// printKFACProfile reports the preconditioner's measured stage profile and,
-// for the pipelined engine, its comm/compute overlap — the run's Table V
-// analogue.
+// printKFACProfile reports the preconditioner's measured stage profile (wall
+// time per stage) — the run's Table V analogue — and any autotune changes.
 func printKFACProfile(res *trainer.Result) {
 	if res == nil || res.KFACStats == nil {
 		return
@@ -384,11 +370,6 @@ func printKFACProfile(res *trainer.Result) {
 	fmt.Printf("kfac stages: factor comp %v / comm %v, eig comp %v / comm %v, precondition %v\n",
 		snap.FactorCompute.Round(r), snap.FactorComm.Round(r),
 		snap.EigCompute.Round(r), snap.EigComm.Round(r), snap.Precondition.Round(r))
-	if snap.PipelineUpdates > 0 {
-		fmt.Printf("pipelined engine: update wall %v, overlapped %v, issuer idle %v over %d updates\n",
-			snap.PipelineWall.Round(r), res.KFACStats.Overlap().Round(r),
-			snap.PipelineIdle.Round(r), snap.PipelineUpdates)
-	}
 	for _, d := range snap.TuneDecisions {
 		if !d.Changed {
 			continue

@@ -28,11 +28,10 @@ import (
 
 func main() {
 	var (
-		epochs    = flag.Int("epochs", 4, "training epochs")
-		batch     = flag.Int("batch", 32, "mini-batch size")
-		trainN    = flag.Int("train", 512, "training examples")
-		testN     = flag.Int("test", 256, "test examples")
-		pipelined = flag.Bool("pipelined", false, "use the pipelined K-FAC step engine")
+		epochs = flag.Int("epochs", 4, "training epochs")
+		batch  = flag.Int("batch", 32, "mini-batch size")
+		trainN = flag.Int("train", 512, "training examples")
+		testN  = flag.Int("test", 256, "test examples")
 	)
 	flag.Parse()
 	rng := rand.New(rand.NewSource(1))
@@ -49,21 +48,16 @@ func main() {
 	// Session = optimizer + K-FAC preconditioner + hooks (Listing 1,
 	// lines 3–5). The default optimizer is SGD shaped by WithMomentum;
 	// swap it with trainer.WithOptimizer for LARS/Adam/custom rules.
-	kopts := []kfac.Option{
-		kfac.WithDamping(1e-3),
-		kfac.WithFactorUpdateFreq(1),
-		kfac.WithInvUpdateFreq(10),
-	}
-	if *pipelined {
-		kopts = append(kopts, kfac.WithEngine(kfac.EnginePipelined))
-	}
 	s, err := trainer.NewSession(net, nil, train, test,
 		trainer.WithEpochs(*epochs),
 		trainer.WithBatchPerRank(*batch),
 		trainer.WithLRSchedule(optim.LRSchedule{BaseLR: 0.05}),
 		trainer.WithMomentum(0.9),
 		trainer.WithSeed(1),
-		trainer.WithKFAC(kopts...),
+		trainer.WithKFAC(
+			kfac.WithDamping(1e-3),
+			kfac.WithFactorUpdateFreq(1),
+			kfac.WithInvUpdateFreq(10)),
 		trainer.OnEpochEnd(func(s *trainer.Session, e trainer.EpochStats) error {
 			fmt.Printf("epoch %d  train-loss %.4f  val-acc %.2f%%\n",
 				e.Epoch+1, e.TrainLoss, 100*e.ValAcc)

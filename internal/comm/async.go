@@ -6,7 +6,8 @@ package comm
 // operation is reserved synchronously at call time, so as long as every
 // rank issues the same collectives in the same program order, overlapping
 // operations cannot cross-match on the wire — this is the SPMD ordering
-// contract the pipelined K-FAC engine relies on (see docs/ARCHITECTURE.md).
+// contract the Fuser's in-flight allreduce chunks rely on (see
+// docs/ARCHITECTURE.md).
 
 // Handle is an asynchronous collective in flight.
 type Handle struct {
@@ -87,10 +88,9 @@ func (h *GatherHandle) Wait() ([][]float64, error) {
 	return h.blocks, h.err
 }
 
-// AllgatherVAsync starts an asynchronous AllgatherV. The pipelined K-FAC
-// engine uses one call per layer to stream eigendecompositions instead of
-// blocking on a monolithic gather. The caller must not mutate mine until
-// Wait returns.
+// AllgatherVAsync starts an asynchronous AllgatherV. The Fuser's compressed
+// chunks ride it, one gather of encoded payloads per chunk. The caller must
+// not mutate mine until Wait returns.
 func (c *Communicator) AllgatherVAsync(mine []float64) *GatherHandle {
 	base := c.nextOp()
 	h := &GatherHandle{done: make(chan struct{})}

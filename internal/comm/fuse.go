@@ -1,70 +1,59 @@
 package comm
 
-import (
-	"sync"
-
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // DefaultFusionBytes mirrors Horovod's default fusion-buffer threshold
 // (paper §II-D: "usually set as 16 MB or 32 MB to guarantee that each
 // allreduce() is bandwidth dominated").
 const DefaultFusionBytes = 16 << 20
 
-// Chunk is one fused allreduce in flight: a packed buffer plus the tensors
-// it was packed from. Wait blocks for the collective and scatters the
-// averaged values back into the original tensors exactly once; it is safe
-// to call from multiple goroutines.
+// chunk is one fused allreduce in flight: a packed buffer plus the tensors
+// it was packed from. wait blocks for the collective and scatters the
+// averaged values back into the original tensors.
 //
 // A compressed chunk (codec != nil) rides an allgather of encoded payloads
-// instead of a ring allreduce: Wait decodes every rank's block and averages
+// instead of a ring allreduce: wait decodes every rank's block and averages
 // them in rank order — the same deterministic arithmetic as
 // CompressedAllreduceMean, so results are bit-identical across ranks. When
-// the chunk carries an error-feedback residual slot, Wait also stores the
+// the chunk carries an error-feedback residual slot, wait also stores the
 // part of this rank's compensated contribution that the codec discarded.
-type Chunk struct {
+type chunk struct {
 	h       *Handle
 	gh      *GatherHandle // compressed path (nil for exact chunks)
 	codec   Codec         // captured at launch; immune to later SetCodec
 	res     []float64     // error-feedback residual slot (nil = bare codec)
-	payload []float64     // pooled encoded payload, recycled by Wait
+	payload []float64     // pooled encoded payload, recycled by wait
 	buf     []float64
 	tensors []*tensor.Tensor
-	once    sync.Once
-	err     error
 }
 
-// Tensors returns the tensors fused into this chunk, in Add order.
-func (ch *Chunk) Tensors() []*tensor.Tensor { return ch.tensors }
-
-// Wait blocks until the fused allreduce completes, scatters the averaged
+// wait blocks until the fused allreduce completes, scatters the averaged
 // buffer back into the source tensors, and returns the operation's error.
 // On success the packed buffer is recycled into the fusion buffer pool.
-func (ch *Chunk) Wait() error {
-	ch.once.Do(func() {
-		if ch.gh != nil {
-			ch.err = ch.waitCompressed()
-		} else {
-			ch.err = ch.h.Wait()
-		}
-		if ch.err != nil {
-			return
-		}
-		off := 0
-		for _, t := range ch.tensors {
-			copy(t.Data, ch.buf[off:off+t.Len()])
-			off += t.Len()
-		}
-		putBuf(ch.buf)
-		ch.buf = nil
-	})
-	return ch.err
+func (ch *chunk) wait() error {
+	var err error
+	if ch.gh != nil {
+		err = ch.waitCompressed()
+	} else {
+		err = ch.h.Wait()
+	}
+	if err != nil {
+		return err
+	}
+	off := 0
+	for _, t := range ch.tensors {
+		copy(t.Data, ch.buf[off:off+t.Len()])
+		off += t.Len()
+	}
+	putBuf(ch.buf)
+	ch.buf = nil
+	return nil
 }
 
 // waitCompressed completes a compressed chunk: wait for the allgather,
 // update the error-feedback residual from this rank's own payload, then
 // average the decoded blocks in rank order into ch.buf.
-func (ch *Chunk) waitCompressed() error {
+func (ch *chunk) waitCompressed() error {
 	blocks, err := ch.gh.Wait()
 	if err != nil {
 		return err
@@ -103,10 +92,9 @@ func (ch *Chunk) waitCompressed() error {
 
 // Fuser batches small tensors into large allreduce payloads, imitating
 // Horovod's tensor-fusion buffer. Callers Add tensors (in identical order on
-// every rank) and either Flush when done (synchronous use) or consume
-// launched chunks incrementally via TakeLaunched/FlushAsync (streaming use:
-// the pipelined K-FAC engine reacts to each chunk as it lands instead of
-// blocking on the whole set). Tensors are averaged in place.
+// every rank) and Flush when done; a chunk's allreduce starts as soon as
+// Add fills it, so earlier chunks are in flight while later tensors are
+// still being added. Tensors are averaged in place.
 //
 // Chunk boundaries are a deterministic function of the Add sequence and the
 // byte limit, so every rank launches identical collectives in identical
@@ -120,8 +108,7 @@ type Fuser struct {
 	ordinal   int // chunk ordinal within this fuser's schedule (EF slot key)
 	pending   []*tensor.Tensor
 	pendingSz int // bytes
-	launched  []*Chunk
-	taken     int // prefix of launched already handed out
+	launched  []*chunk
 }
 
 // NewFuser creates a fusion buffer over comm with the given byte threshold.
@@ -156,7 +143,7 @@ func (f *Fuser) SetCodec(c Codec) { f.bare = c }
 // encoding with ef.Codec(), and the residual is updated after decode. The
 // accumulator outlives the fuser — recreating a fuser each round with an
 // identical Add sequence reuses the same residual slots, which is exactly
-// how the trainer and both K-FAC engines persist error feedback across
+// how the trainer and the K-FAC preconditioner persist error feedback across
 // steps. A nil ef (or ef with a nil codec) transmits exact. Overrides
 // SetCodec.
 func (f *Fuser) SetErrorFeedback(ef *ErrorFeedback) { f.ef = ef }
@@ -182,7 +169,7 @@ func (f *Fuser) launch() {
 	for _, t := range f.pending {
 		total += t.Len()
 	}
-	// Drawn from the shared pool; returned by Chunk.Wait after scatter.
+	// Drawn from the shared pool; returned by chunk.wait after scatter.
 	buf := getBuf(total)
 	off := 0
 	for _, t := range f.pending {
@@ -196,9 +183,8 @@ func (f *Fuser) launch() {
 	if codec != nil && total > 0 {
 		// Compressed path: compensate (error feedback only), encode into a
 		// pooled payload, allgather the payloads. Decode/average and the
-		// residual update happen in Chunk.Wait. The residual slot is claimed
-		// here, on the launching goroutine, so concurrent chunk waiters never
-		// touch the accumulator's slot table.
+		// residual update happen in chunk.wait. The residual slot is claimed
+		// here, keyed by the chunk's launch ordinal.
 		var res []float64
 		if f.ef != nil {
 			res = f.ef.slot(f.ordinal, total)
@@ -208,7 +194,7 @@ func (f *Fuser) launch() {
 		}
 		payload := encodeInto(codec, getBuf(codec.CompressedLen(total)), buf)
 		gh := f.comm.AllgatherVAsync(payload)
-		f.launched = append(f.launched, &Chunk{
+		f.launched = append(f.launched, &chunk{
 			gh: gh, codec: codec, res: res, payload: payload,
 			buf: buf, tensors: f.pending,
 		})
@@ -227,44 +213,23 @@ func (f *Fuser) launch() {
 			h = f.comm.AllreduceMeanAsync(buf)
 		}
 	}
-	f.launched = append(f.launched, &Chunk{h: h, buf: buf, tensors: f.pending})
+	f.launched = append(f.launched, &chunk{h: h, buf: buf, tensors: f.pending})
 	f.pending = nil
 	f.pendingSz = 0
 	f.ordinal++
 }
 
-// TakeLaunched returns the chunks launched since the previous call (or
-// since creation). It does not force pending tensors out; use FlushAsync at
-// the end of the Add sequence.
-func (f *Fuser) TakeLaunched() []*Chunk {
-	out := f.launched[f.taken:len(f.launched):len(f.launched)]
-	f.taken = len(f.launched)
-	return out
-}
-
-// FlushAsync launches any remaining pending tensors and returns the chunks
-// not yet handed out by TakeLaunched. The caller waits on each chunk.
-func (f *Fuser) FlushAsync() []*Chunk {
-	f.launch()
-	return f.TakeLaunched()
-}
-
 // Flush launches any remaining fused operation, waits for all in-flight
-// operations (including chunks already handed out via TakeLaunched), and
-// scatters results back into the original tensors.
+// operations, and scatters results back into the original tensors.
 func (f *Fuser) Flush() error {
 	f.launch()
 	var firstErr error
 	for _, ch := range f.launched {
-		if err := ch.Wait(); err != nil && firstErr == nil {
+		if err := ch.wait(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	// Drop the backing array: slices previously handed out by TakeLaunched
-	// alias it, and reusing it via launched[:0] would overwrite their
-	// elements on the next launch.
 	f.launched = nil
-	f.taken = 0
 	return firstErr
 }
 

@@ -113,8 +113,8 @@ func TestFuserFlushEmptyBuffer(t *testing.T) {
 }
 
 func TestFuserStreamingChunks(t *testing.T) {
-	// Streaming interface: chunks become available incrementally, each chunk
-	// waits independently, and chunk boundaries are deterministic.
+	// Chunks launch as Add fills the budget, before Flush, with
+	// deterministic boundaries; Flush then completes every one of them.
 	const p = 2
 	runRanks(t, p, func(c *Communicator) error {
 		ts := make([]*tensor.Tensor, 6)
@@ -122,22 +122,19 @@ func TestFuserStreamingChunks(t *testing.T) {
 			ts[i] = tensor.Full(float64(c.Rank()+i), 4) // 32 bytes each
 		}
 		fu := NewFuser(c, 64) // two tensors per chunk
-		var chunks []*Chunk
-		for _, x := range ts {
+		for i, x := range ts {
 			fu.Add(x)
-			chunks = append(chunks, fu.TakeLaunched()...)
-		}
-		chunks = append(chunks, fu.FlushAsync()...)
-		if len(chunks) != 3 {
-			t.Errorf("rank %d: got %d chunks, want 3", c.Rank(), len(chunks))
-		}
-		for _, ch := range chunks {
-			if len(ch.Tensors()) != 2 {
-				t.Errorf("rank %d: chunk holds %d tensors, want 2", c.Rank(), len(ch.Tensors()))
+			if want := (i + 1) / 2; len(fu.launched) != want {
+				t.Errorf("rank %d: %d chunks in flight after %d Adds, want %d", c.Rank(), len(fu.launched), i+1, want)
 			}
-			if err := ch.Wait(); err != nil {
-				return err
+		}
+		for _, ch := range fu.launched {
+			if len(ch.tensors) != 2 {
+				t.Errorf("rank %d: chunk holds %d tensors, want 2", c.Rank(), len(ch.tensors))
 			}
+		}
+		if err := fu.Flush(); err != nil {
+			return err
 		}
 		for i, x := range ts {
 			want := float64(i) + 0.5 // mean of ranks 0 and 1 offsets
@@ -146,33 +143,6 @@ func TestFuserStreamingChunks(t *testing.T) {
 					t.Errorf("rank %d tensor %d = %v, want %v", c.Rank(), i, v, want)
 				}
 			}
-		}
-		return nil
-	})
-}
-
-func TestFuserReuseAfterFlushKeepsTakenChunks(t *testing.T) {
-	// Chunks handed out via TakeLaunched must stay valid when the fuser is
-	// flushed and reused: Flush drops its backing array instead of
-	// recycling it underneath the caller's slice.
-	runRanks(t, 2, func(c *Communicator) error {
-		fu := NewFuser(c, 8) // every tensor launches immediately
-		first := tensor.Full(float64(c.Rank()), 2)
-		fu.Add(first)
-		taken := fu.TakeLaunched()
-		if len(taken) != 1 || taken[0].Tensors()[0] != first {
-			t.Errorf("rank %d: unexpected taken chunks", c.Rank())
-		}
-		if err := fu.Flush(); err != nil {
-			return err
-		}
-		second := tensor.Full(float64(c.Rank()+10), 2)
-		fu.Add(second)
-		if err := fu.Flush(); err != nil {
-			return err
-		}
-		if taken[0].Tensors()[0] != first {
-			t.Errorf("rank %d: taken chunk was overwritten by post-Flush launch", c.Rank())
 		}
 		return nil
 	})

@@ -89,40 +89,6 @@ func (g *Group) indexOf(rank int) int {
 func (g *Group) Broadcast(data []float64, root int) error {
 	base := g.c.nextOp()
 	g.mustContain(root)
-	return g.broadcastTagged(data, root, base)
-}
-
-// mustContain panics when root is not a member — uniformly on every rank,
-// member or not, since the member list is shared state.
-func (g *Group) mustContain(root int) {
-	if g.indexOf(root) < 0 {
-		panic(fmt.Sprintf("comm: group broadcast root %d is not a member of %v", root, g.members))
-	}
-}
-
-// BroadcastAsync starts an asynchronous group broadcast. The tag namespace
-// is reserved synchronously at call time on every rank (members and
-// non-members alike), preserving the SPMD ordering contract for overlapping
-// operations; the pipelined K-FAC engine streams per-factor eigenbases with
-// it. The caller must not touch data until Wait returns. Non-members get an
-// already-completed handle.
-func (g *Group) BroadcastAsync(data []float64, root int) *Handle {
-	base := g.c.nextOp()
-	g.mustContain(root)
-	if g.index < 0 || len(g.members) == 1 {
-		return completedHandle()
-	}
-	h := &Handle{done: make(chan struct{})}
-	go func() {
-		defer close(h.done)
-		h.err = g.broadcastTagged(data, root, base)
-	}()
-	return h
-}
-
-// broadcastTagged is the group broadcast body with an externally reserved
-// tag base; callers have already validated root membership.
-func (g *Group) broadcastTagged(data []float64, root int, base uint64) error {
 	n := len(g.members)
 	if g.index < 0 || n == 1 {
 		return nil
@@ -132,6 +98,14 @@ func (g *Group) broadcastTagged(data []float64, root int, base uint64) error {
 	return g.c.broadcastTree(data, base, rel, n, func(peerRel int) int {
 		return g.members[mod(peerRel+rootIdx, n)]
 	})
+}
+
+// mustContain panics when root is not a member — uniformly on every rank,
+// member or not, since the member list is shared state.
+func (g *Group) mustContain(root int) {
+	if g.indexOf(root) < 0 {
+		panic(fmt.Sprintf("comm: group broadcast root %d is not a member of %v", root, g.members))
+	}
 }
 
 // AllreduceSum sums data elementwise across the group members, in place on

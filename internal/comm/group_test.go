@@ -113,49 +113,6 @@ func TestGroupAllreduceMeanSubset(t *testing.T) {
 	}
 }
 
-func TestGroupBroadcastAsyncOverlapped(t *testing.T) {
-	// Two overlapping async group broadcasts on disjoint groups plus a full
-	// collective afterwards: tags must stay aligned on every rank.
-	const p = 4
-	sum := make([]float64, p)
-	runRanks(t, p, func(c *Communicator) error {
-		r := c.Rank()
-		g1 := c.Group([]int{0, 1})
-		g2 := c.Group([]int{2, 3})
-		d1 := []float64{float64(100 + r)}
-		d2 := []float64{float64(200 + r)}
-		var b1, b2 []float64
-		if g1.Contains(r) {
-			b1 = d1
-		}
-		if g2.Contains(r) {
-			b2 = d2
-		}
-		h1 := g1.BroadcastAsync(b1, 0)
-		h2 := g2.BroadcastAsync(b2, 3)
-		if err := WaitAll(h1, h2); err != nil {
-			return err
-		}
-		// Full-world collective after the group ops: misaligned tags would
-		// deadlock or cross-match here.
-		buf := []float64{d1[0] + d2[0]}
-		if err := c.AllreduceSum(buf); err != nil {
-			return err
-		}
-		sum[r] = buf[0]
-		return nil
-	})
-	// After the broadcasts: ranks 0,1 have d1=100 (root 0); ranks 2,3 keep
-	// their own d1 = 102, 103. d2: ranks 2,3 have 203 (root 3); ranks 0,1
-	// keep 200, 201.
-	want := (100.0 + 200) + (100 + 201) + (102 + 203) + (103 + 203)
-	for r := 0; r < p; r++ {
-		if sum[r] != want {
-			t.Errorf("rank %d sum = %v, want %v", r, sum[r], want)
-		}
-	}
-}
-
 func TestGroupSingletonAndAccessors(t *testing.T) {
 	runRanks(t, 3, func(c *Communicator) error {
 		g := c.Group([]int{1, 1, 1})

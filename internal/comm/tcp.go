@@ -142,25 +142,63 @@ func NewTCPFabric(rank int, addrs []string, timeout time.Duration) (*TCPFabric, 
 	return f, nil
 }
 
+// maxFrameFloats bounds the float count a frame header may announce. Every
+// frame carries one rank's share of one collective, so the largest
+// legitimate frame is the largest buffer a rank hands a collective: its
+// block of the decomposition allgather, Σ(n²+n+3) floats over the factors
+// it owns (eigenbasis, eigenvalues and a 3-float header per factor; see
+// kfac's appendRecord). Even if one rank owned every factor of the largest
+// reference catalog, ResNet-152 (Kronecker factors up to 4608 wide), that
+// block is 389,766,286 floats; the next power of two leaves headroom.
+// Gradient and factor allreduce frames are smaller still (ResNet-152 has
+// 60M parameters in all).
+const maxFrameFloats = 1 << 29 // 536,870,912 floats = 4 GiB
+
+// frameChunkFloats is how many floats readLoop decodes per read: a frame's
+// []float64 grows only as its payload actually arrives, so a header that
+// lies about its count costs at most one chunk of memory.
+const frameChunkFloats = 8 << 10 // 64 KiB of payload per read
+
 // readLoop demultiplexes incoming frames from one peer into its mailbox.
+// A frame that announces more than maxFrameFloats, or ends before its
+// payload does, closes the peer's mailbox with the error and drops the
+// connection: the stream can no longer be trusted to be in sync.
 func (f *TCPFabric) readLoop(peer int, conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 1<<16)
-	hdr := make([]byte, 12)
+	var hdr [12]byte
+	chunk := make([]byte, 8*frameChunkFloats)
 	for {
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			f.boxes[peer].close()
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			f.boxes[peer].close(nil)
 			return
 		}
 		tag := binary.LittleEndian.Uint64(hdr[0:8])
-		count := binary.LittleEndian.Uint32(hdr[8:12])
-		buf := make([]byte, 8*int(count))
-		if _, err := io.ReadFull(br, buf); err != nil {
-			f.boxes[peer].close()
+		count := int(binary.LittleEndian.Uint32(hdr[8:12]))
+		if count > maxFrameFloats {
+			f.boxes[peer].close(fmt.Errorf("comm: frame from rank %d announces %d floats, above the %d limit",
+				peer, count, maxFrameFloats))
+			conn.Close()
 			return
 		}
-		data := make([]float64, count)
-		for i := range data {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		data := make([]float64, 0, min(count, frameChunkFloats))
+		for len(data) < count {
+			n := min(count-len(data), frameChunkFloats)
+			if _, err := io.ReadFull(br, chunk[:8*n]); err != nil {
+				f.boxes[peer].close(fmt.Errorf("comm: frame from rank %d truncated after %d of %d floats: %w",
+					peer, len(data), count, err))
+				conn.Close()
+				return
+			}
+			if need := len(data) + n; need > cap(data) {
+				// Double, but never past the announced count, so the final
+				// slice is exactly count long.
+				grown := make([]float64, len(data), max(need, min(2*cap(data), count)))
+				copy(grown, data)
+				data = grown
+			}
+			for i := 0; i < n; i++ {
+				data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*i:])))
+			}
 		}
 		f.boxes[peer].put(tag, data)
 	}
@@ -215,7 +253,7 @@ func (f *TCPFabric) Close() error {
 			}
 		}
 		for _, b := range f.boxes {
-			b.close()
+			b.close(nil)
 		}
 	})
 	return nil

@@ -63,6 +63,7 @@ type mailbox struct {
 	cond    *sync.Cond
 	pending map[uint64][][]float64
 	closed  bool
+	err     error // why the mailbox closed (nil = orderly close)
 }
 
 func newMailbox() *mailbox {
@@ -107,6 +108,9 @@ func (m *mailbox) take(ctx context.Context, tag uint64) ([]float64, error) {
 			return data, nil
 		}
 		if m.closed {
+			if m.err != nil {
+				return nil, fmt.Errorf("comm: mailbox closed while waiting for tag %d: %w", tag, m.err)
+			}
 			return nil, fmt.Errorf("comm: mailbox closed while waiting for tag %d", tag)
 		}
 		if err := ctx.Err(); err != nil {
@@ -116,10 +120,14 @@ func (m *mailbox) take(ctx context.Context, tag uint64) ([]float64, error) {
 	}
 }
 
-// close wakes all waiters with an error.
-func (m *mailbox) close() {
+// close wakes all waiters with an error; err, when non-nil, is the reason
+// they report. The first close decides the reason.
+func (m *mailbox) close(err error) {
 	m.mu.Lock()
-	m.closed = true
+	if !m.closed {
+		m.closed = true
+		m.err = err
+	}
 	m.mu.Unlock()
 	m.cond.Broadcast()
 }
@@ -175,7 +183,7 @@ func (e *inprocEndpoint) Recv(ctx context.Context, from int, tag uint64) ([]floa
 
 func (e *inprocEndpoint) Close() error {
 	for from := 0; from < e.fabric.n; from++ {
-		e.fabric.boxes[e.rank][from].close()
+		e.fabric.boxes[e.rank][from].close(nil)
 	}
 	return nil
 }

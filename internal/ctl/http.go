@@ -28,6 +28,12 @@ type CheckpointView struct {
 	Time time.Time `json:"time"`
 }
 
+// maxJobSpecBytes bounds a JobSpec request body. A spec is a few hundred
+// bytes of JSON — its largest fields are the model's layer-width and
+// skip-layer lists — so 1 MiB is generous for any real spec while keeping
+// an oversized or endless body from being buffered whole.
+const maxJobSpecBytes = 1 << 20
+
 // NewHandler wraps a Daemon in the kfacd HTTP JSON API:
 //
 //	POST /api/v1/jobs                  submit a JobSpec → JobView
@@ -42,7 +48,8 @@ type CheckpointView struct {
 //	GET  /healthz                      liveness
 //
 // Every response is JSON; errors use the {"error": ...} envelope with 400
-// for bad specs/verbs, 404 for unknown jobs, and 503 while draining.
+// for bad specs/verbs, 404 for unknown jobs, 413 for a spec body over
+// maxJobSpecBytes, and 503 while draining.
 func NewHandler(d *Daemon) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -58,10 +65,15 @@ func NewHandler(d *Daemon) http.Handler {
 	})
 	mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{fmt.Sprintf("decoding job spec: %v", err)})
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, status, apiError{fmt.Sprintf("decoding job spec: %v", err)})
 			return
 		}
 		v, err := d.Submit(&spec)

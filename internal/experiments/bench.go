@@ -1,7 +1,7 @@
 // Benchmark-trajectory harness: kfac-bench's -json mode. Each scenario
-// (model size × step engine) runs a single-process training loop with real
+// (model size × precision) runs a single-process training loop with real
 // forward/backward and K-FAC steps, measuring wall time per step, the
-// preconditioner's stage profile and pipeline overlap, and heap
+// preconditioner's stage profile, and heap
 // allocations/bytes per step — both over a realistic update mix and in the
 // stale-decomposition steady state. Results are written as one
 // schema-stable BENCH_<scenario>.json per scenario so every future change
@@ -33,13 +33,18 @@ import (
 // gate, trend plots) keys on it.
 const BenchSchema = "kfac-bench/v1"
 
+// benchEngine fills every record's engine field and the engine part of the
+// single-process cell names (<model>_sync[_f32]). K-FAC has one step
+// engine; the name stays so new records compare with the committed refs.
+const benchEngine = "sync"
+
 // BenchResult is the JSON record one benchmark scenario emits. All
 // durations are nanoseconds; alloc metrics are per executed step.
 type BenchResult struct {
 	Schema   string `json:"schema"`
-	Scenario string `json:"scenario"` // "<model>_<engine>[_f32]" or "dist_<model>_w<world>_<mode>"
+	Scenario string `json:"scenario"` // "<model>_sync[_f32]" or "dist_<model>_w<world>_<mode>"
 	Model    string `json:"model"`
-	Engine   string `json:"engine"`
+	Engine   string `json:"engine"` // always benchEngine
 	// Precision is the K-FAC compute precision of the run: "f64" (the exact
 	// reference path) or "f32" (float32 kernels with float64 accumulation;
 	// the scenario name carries a matching _f32 suffix).
@@ -78,13 +83,12 @@ type BenchResult struct {
 	BytesPerStep     float64 `json:"bytes_per_step"`
 
 	// Stage profile accumulated over the mixed phase (preconditioner's
-	// StageStats), plus the pipelined engine's overlap estimate.
+	// StageStats; wall time per stage).
 	FactorComputeNS int64 `json:"factor_compute_ns"`
 	FactorCommNS    int64 `json:"factor_comm_ns"`
 	EigComputeNS    int64 `json:"eig_compute_ns"`
 	EigCommNS       int64 `json:"eig_comm_ns"`
 	PreconditionNS  int64 `json:"precondition_ns"`
-	OverlapNS       int64 `json:"overlap_ns"`
 
 	// Steady phase: stale decompositions only (the common iteration).
 	SteadySteps         int     `json:"steady_steps"`
@@ -93,32 +97,29 @@ type BenchResult struct {
 	SteadyBytesPerStep  float64 `json:"steady_bytes_per_step"`
 }
 
-// benchScenario is one (model, engine) cell of the benchmark matrix.
+// benchScenario is one (model, precision) cell of the benchmark matrix.
 type benchScenario struct {
 	model     string
 	blocks    int
 	width     int
 	batch     int
 	steps     int
-	engines   []kfac.Engine
 	precision kfac.Precision
 }
 
 // benchMatrix returns the scenario list: -short runs one tiny model for the
-// CI smoke job; the full matrix covers small/medium/large against both
-// engines.
+// CI smoke job; the full matrix covers small/medium/large.
 func benchMatrix(short bool) []benchScenario {
-	engines := []kfac.Engine{kfac.EngineSync, kfac.EnginePipelined}
 	if short {
-		tiny := benchScenario{model: "tiny", blocks: 1, width: 4, batch: 4, steps: 6, engines: engines}
+		tiny := benchScenario{model: "tiny", blocks: 1, width: 4, batch: 4, steps: 6}
 		tinyF32 := tiny
 		tinyF32.precision = kfac.F32
 		return []benchScenario{tiny, tinyF32}
 	}
 	cells := []benchScenario{
-		{model: "small", blocks: 1, width: 8, batch: 8, steps: 20, engines: engines},
-		{model: "medium", blocks: 2, width: 16, batch: 8, steps: 20, engines: engines},
-		{model: "large", blocks: 3, width: 32, batch: 8, steps: 10, engines: engines},
+		{model: "small", blocks: 1, width: 8, batch: 8, steps: 20},
+		{model: "medium", blocks: 2, width: 16, batch: 8, steps: 20},
+		{model: "large", blocks: 3, width: 32, batch: 8, steps: 10},
 	}
 	// Mixed-precision cells mirror small and medium — the sizes the
 	// committed trajectories track f64-vs-f32 on (docs/PERFORMANCE.md).
@@ -128,6 +129,16 @@ func benchMatrix(short bool) []benchScenario {
 		cells = append(cells, f32)
 	}
 	return cells
+}
+
+// name is the scenario's cell name: <model>_sync, plus _f32 for the
+// mixed-precision cells.
+func (sc benchScenario) name() string {
+	name := sc.model + "_" + benchEngine
+	if sc.precision == kfac.F32 {
+		name += "_f32"
+	}
+	return name
 }
 
 // distScenario is one cell of the distribution-mode benchmark axis: a
@@ -274,13 +285,7 @@ func BenchCells(cfg BenchConfig) []string {
 		if !cfg.keepPrecision(sc.precision) {
 			continue
 		}
-		for _, engine := range sc.engines {
-			name := fmt.Sprintf("%s_%s", sc.model, engine)
-			if sc.precision == kfac.F32 {
-				name += "_f32"
-			}
-			out = append(out, name)
-		}
+		out = append(out, sc.name())
 	}
 	for _, sc := range distMatrix(cfg.Short, cfg.World) {
 		if !cfg.keepPrecision(sc.precision) {
@@ -306,7 +311,7 @@ func writeBenchResult(outDir string, res *BenchResult) (string, error) {
 }
 
 // RunBenchJSON executes the benchmark matrix — the single-process
-// (model × engine) cells plus the distributed {mode, gradWorkerFrac} axis
+// (model × precision) cells plus the distributed {mode, gradWorkerFrac} axis
 // — and writes one BENCH_<scenario>.json per scenario into outDir,
 // returning the file paths. Scenarios respect ctx cancellation between
 // steps.
@@ -342,14 +347,12 @@ func RunBenchJSONConfig(ctx context.Context, outDir string, cfg BenchConfig) ([]
 		if !cfg.keepPrecision(sc.precision) {
 			continue
 		}
-		for _, engine := range sc.engines {
-			res, err := runBenchScenario(ctx, sc, engine, cfg.Seed)
-			if err != nil {
-				return paths, fmt.Errorf("bench %s_%s: %w", sc.model, engine, err)
-			}
-			if err := write(res); err != nil {
-				return paths, err
-			}
+		res, err := runBenchScenario(ctx, sc, cfg.Seed)
+		if err != nil {
+			return paths, fmt.Errorf("bench %s: %w", sc.name(), err)
+		}
+		if err := write(res); err != nil {
+			return paths, err
 		}
 	}
 	for _, sc := range distMatrix(cfg.Short, cfg.World) {
@@ -378,7 +381,7 @@ func newDistBenchResult(sc distScenario) *BenchResult {
 		Schema:    BenchSchema,
 		Scenario:  sc.scenarioName(),
 		Model:     sc.model,
-		Engine:    kfac.EngineSync.String(),
+		Engine:    benchEngine,
 		Precision: sc.precision.String(),
 		Fabric:    sc.fabricLabel(),
 
@@ -419,7 +422,6 @@ func runDistRank(ctx context.Context, sc distScenario, seed int64, c *comm.Commu
 		opts.Autotune = &kfac.AutotuneConfig{}
 	}
 	prec := kfac.NewFromOptions(net, c, opts)
-	defer prec.Close()
 	if rank == 0 {
 		plan := prec.Plan()
 		res.DistMode = plan.Mode.String()
@@ -542,7 +544,7 @@ func runDistBenchScenario(ctx context.Context, sc distScenario, seed int64) (*Be
 
 // runBenchScenario measures one scenario. The model trains on synthetic
 // data with a fixed seed, so repeated runs measure the same computation.
-func runBenchScenario(ctx context.Context, sc benchScenario, engine kfac.Engine, seed int64) (*BenchResult, error) {
+func runBenchScenario(ctx context.Context, sc benchScenario, seed int64) (*BenchResult, error) {
 	rng := rand.New(rand.NewSource(seed))
 	net := models.BuildCIFARResNet(sc.blocks, sc.width, 3, 10, rng)
 	nn.SetBufferReuse(net, true)
@@ -551,21 +553,16 @@ func runBenchScenario(ctx context.Context, sc benchScenario, engine kfac.Engine,
 	}
 	const facFreq, invFreq = 5, 10
 	prec := kfac.NewFromOptions(net, nil, kfac.Options{
-		FactorUpdateFreq: facFreq, InvUpdateFreq: invFreq, Damping: 1e-3, Engine: engine,
+		FactorUpdateFreq: facFreq, InvUpdateFreq: invFreq, Damping: 1e-3,
 		Precision: sc.precision,
 	})
-	defer prec.Close()
 
-	scenario := fmt.Sprintf("%s_%s", sc.model, engine)
-	if sc.precision == kfac.F32 {
-		scenario += "_f32"
-	}
 	plan := prec.Plan()
 	res := &BenchResult{
 		Schema:         BenchSchema,
-		Scenario:       scenario,
+		Scenario:       sc.name(),
 		Model:          sc.model,
-		Engine:         engine.String(),
+		Engine:         benchEngine,
 		Precision:      sc.precision.String(),
 		Fabric:         "local",
 		World:          1,
@@ -642,11 +639,6 @@ func runBenchScenario(ctx context.Context, sc benchScenario, engine kfac.Engine,
 	res.EigComputeNS = int64(statsAfter.EigCompute - statsBefore.EigCompute)
 	res.EigCommNS = int64(statsAfter.EigComm - statsBefore.EigComm)
 	res.PreconditionNS = int64(statsAfter.Precondition - statsBefore.Precondition)
-	overlapBefore := statsBefore.PipelineWork - statsBefore.PipelineWall
-	overlapAfter := statsAfter.PipelineWork - statsAfter.PipelineWall
-	if d := overlapAfter - overlapBefore; d > 0 {
-		res.OverlapNS = int64(d)
-	}
 
 	// Steady phase: freeze updates so every step is stale-decomposition
 	// preconditioning only — the zero-allocation hot path.

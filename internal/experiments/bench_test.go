@@ -31,7 +31,7 @@ func TestRunBenchJSONSchemaStable(t *testing.T) {
 	wantDist, wantF32, autotuneCell := 0, 0, ""
 	for _, sc := range benchMatrix(cfg.Short) {
 		if sc.precision == kfac.F32 {
-			wantF32 += len(sc.engines)
+			wantF32++
 		}
 	}
 	for _, sc := range distMatrix(cfg.Short, cfg.World) {
@@ -87,7 +87,7 @@ func TestRunBenchJSONWorldAxis(t *testing.T) {
 			t.Fatal(err)
 		}
 		if typed.World == 1 {
-			continue // single-process engine cells
+			continue // single-process cells
 		}
 		if typed.World != 2 {
 			t.Errorf("%s: world = %d, want the configured 2", p, typed.World)
@@ -167,7 +167,7 @@ func checkBenchFiles(t *testing.T, paths []string) {
 			"scenario", "model", "engine", "precision", "fabric", "steps",
 			"world", "dist_mode", "grad_worker_frac", "peak_factor_bytes_per_rank",
 			"step_time_mean_ns", "allocs_per_step", "bytes_per_step",
-			"factor_compute_ns", "eig_compute_ns", "precondition_ns", "overlap_ns",
+			"factor_compute_ns", "eig_compute_ns", "precondition_ns",
 			"steady_steps", "steady_step_time_mean_ns",
 			"steady_allocs_per_step", "steady_bytes_per_step",
 		} {
@@ -191,6 +191,9 @@ func checkBenchFiles(t *testing.T, paths []string) {
 			}
 		default:
 			t.Errorf("%s: precision = %q, want f64 or f32", p, typed.Precision)
+		}
+		if typed.Engine != benchEngine {
+			t.Errorf("%s: engine = %q, want %q", p, typed.Engine, benchEngine)
 		}
 		switch typed.Fabric {
 		case "local", "inproc", "tcp":

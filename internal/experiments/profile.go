@@ -22,12 +22,6 @@ func init() {
 		Run:   runProfile,
 	})
 	register(Experiment{
-		ID:    "pipeline",
-		Title: "Pipelined vs synchronous K-FAC step engine: stage timings and overlap",
-		Paper: "§V: distributing factor work and overlapping comm with compute keeps K-FAC overhead sub-linear",
-		Run:   runPipelineComparison,
-	})
-	register(Experiment{
 		ID:    "ablation-updatefreq",
 		Title: "Ablation: real-training update-frequency sweep (mini Table III)",
 		Paper: "Table III: growing kfac-update-freq trades accuracy for time",
@@ -35,10 +29,10 @@ func init() {
 	})
 }
 
-// profileWorkload is the shared miniature-training harness of the profile
-// and pipeline experiments: it trains one epoch at the given world size and
-// step engine and returns rank 0's measured K-FAC stage profile.
-func profileWorkload(ctx context.Context, cfg Config, world int, engine kfac.Engine) (*kfac.StageStats, error) {
+// profileWorkload is the miniature-training harness of the profile
+// experiment: it trains one epoch at the given world size and returns rank
+// 0's measured K-FAC stage profile.
+func profileWorkload(ctx context.Context, cfg Config, world int) (*kfac.StageStats, error) {
 	dcfg := data.CIFARLike(cfg.Seed)
 	dcfg.Train, dcfg.Test, dcfg.Size = 256, 96, 16
 	train, test := data.GenerateSynthetic(dcfg)
@@ -49,8 +43,7 @@ func profileWorkload(ctx context.Context, cfg Config, world int, engine kfac.Eng
 		trainer.WithMomentum(0.9),
 		trainer.WithKFAC(
 			kfac.WithFactorUpdateFreq(2),
-			kfac.WithInvUpdateFreq(4),
-			kfac.WithEngine(engine)),
+			kfac.WithInvUpdateFreq(4)),
 		trainer.WithSeed(cfg.Seed),
 	}
 	build := func(rng *rand.Rand) *nn.Sequential { return correctnessNet(cfg)(rng) }
@@ -72,44 +65,12 @@ func profileWorkload(ctx context.Context, cfg Config, world int, engine kfac.Eng
 	return results[0].KFACStats, nil
 }
 
-// profileWorlds returns the world sizes the profiling experiments sweep.
+// profileWorlds returns the world sizes the profile experiment sweeps.
 func profileWorlds(cfg Config) []int {
 	if cfg.Quick {
 		return []int{1, 2}
 	}
 	return []int{1, 2, 4}
-}
-
-// runPipelineComparison trains the same miniature workload under both step
-// engines at several world sizes and reports the per-stage profile plus the
-// pipelined engine's overlap/idle accounting.
-func runPipelineComparison(ctx context.Context, w io.Writer, cfg Config) error {
-	e, _ := ByID("pipeline")
-	header(w, e)
-	fmt.Fprintf(w, "%-6s  %-10s  %12s  %12s  %12s  %12s  %12s  %12s\n",
-		"ranks", "engine", "factor comp", "factor comm", "eig comp", "eig comm", "update wall", "overlap")
-	for _, world := range profileWorlds(cfg) {
-		for _, engine := range []kfac.Engine{kfac.EngineSync, kfac.EnginePipelined} {
-			stats, err := profileWorkload(ctx, cfg, world, engine)
-			if err != nil {
-				return err
-			}
-			snap := stats.Snapshot()
-			wall := snap.PipelineWall
-			if engine == kfac.EngineSync {
-				// The sync engine's update wall is the stage sum by construction.
-				wall = snap.FactorCompute + snap.FactorComm + snap.EigCompute + snap.EigComm
-			}
-			const r = 10 * time.Microsecond
-			fmt.Fprintf(w, "%-6d  %-10s  %12v  %12v  %12v  %12v  %12v  %12v\n",
-				world, engine,
-				snap.FactorCompute.Round(r), snap.FactorComm.Round(r),
-				snap.EigCompute.Round(r), snap.EigComm.Round(r),
-				wall.Round(r), stats.Overlap().Round(r))
-		}
-	}
-	fmt.Fprintln(w, "shape check: pipelined update wall ≤ stage sum; overlap grows with ranks (comm hidden behind compute) and with cores (parallel eigendecompositions)")
-	return nil
 }
 
 // runProfile trains briefly at several in-process world sizes with K-FAC
@@ -120,7 +81,7 @@ func runProfile(ctx context.Context, w io.Writer, cfg Config) error {
 	fmt.Fprintf(w, "%-6s  %14s  %14s  %14s  %14s  %12s\n",
 		"ranks", "factor Tcomp", "factor Tcomm", "eig Tcomp", "eig Tcomm", "precond/step")
 	for _, world := range profileWorlds(cfg) {
-		stats, err := profileWorkload(ctx, cfg, world, kfac.EngineSync)
+		stats, err := profileWorkload(ctx, cfg, world)
 		if err != nil {
 			return err
 		}

@@ -41,7 +41,6 @@ func tuneRank(t *testing.T, c *comm.Communicator, opts Options, steps int) ([]Tu
 	t.Helper()
 	net := buildTinyNet(42)
 	prec := NewFromOptions(net, c, opts)
-	defer prec.Close()
 	for i := 0; i < steps; i++ {
 		runStep(net, int64(1000+i), 4)
 		if err := prec.Step(0.1); err != nil {
@@ -76,7 +75,7 @@ func sameDecisions(a, b []TuneDecision) bool {
 
 // TestAutotuneDecisionsDeterministicProperty is the determinism acceptance
 // property: under randomized chaos schedules (latency jitter, droppy
-// links), every rank of every world size 1–8, on either engine, must record
+// links), every rank of every world size 1–8 must record
 // the exact same autotune decision sequence — bit-identical consensus
 // floats, same levels, same step boundaries — and the ranks' gradients must
 // stay bit-identical to each other even as decisions switch codecs mid-run.
@@ -84,7 +83,7 @@ func sameDecisions(a, b []TuneDecision) bool {
 // no consensus partner, so the static configuration must never change.
 func TestAutotuneDecisionsDeterministicProperty(t *testing.T) {
 	steps := testenv.Scale(6, 4)
-	prop := func(seed uint16, worldSel uint8, pipelined, droppy bool) bool {
+	prop := func(seed uint16, worldSel uint8, droppy bool) bool {
 		p := 1 + int(worldSel)%8
 		chaos := comm.ChaosConfig{
 			Seed:       int64(seed) + 1,
@@ -96,9 +95,6 @@ func TestAutotuneDecisionsDeterministicProperty(t *testing.T) {
 			chaos.MaxRetries = 50
 		}
 		opts := Options{FactorUpdateFreq: 1, InvUpdateFreq: 2, Autotune: &AutotuneConfig{}}
-		if pipelined {
-			opts.Engine = EnginePipelined
-		}
 		decs, grads := tuneTrace(t, p, chaos, opts, steps)
 		if t.Failed() {
 			return false
@@ -203,7 +199,6 @@ func TestAutotuneRebindResets(t *testing.T) {
 	net := buildTinyNet(42)
 	prec := NewFromOptions(net, nil, Options{FactorUpdateFreq: 1, InvUpdateFreq: 1,
 		Autotune: &AutotuneConfig{}})
-	defer prec.Close()
 	prec.tuner.level = 2 // simulate an in-force decision
 	if ts := prec.Tuning(); !ts.Tuned || ts.Codec == nil {
 		t.Fatalf("expected tuned state before rebind, got %+v", ts)

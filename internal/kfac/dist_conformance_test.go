@@ -1,7 +1,6 @@
 package kfac
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/testenv"
@@ -12,7 +11,7 @@ import (
 // HYBRID (f ∈ {0.25, 0.5}) must produce bit-identical same-seed
 // preconditioned gradients to each other and to the default configuration
 // (DistAuto over RoundRobin — the pre-refactor COMM-OPT reference path),
-// for both step engines, on every rank. The modes move identical bits to
+// on every rank. The modes move identical bits to
 // different places (eigendecomposition is a pure function of the averaged
 // factors, preconditioning a pure function of the eigenbases and the
 // gradient, and broadcasts preserve bits), so any divergence is a plan
@@ -26,25 +25,12 @@ func TestDistModesBitIdenticalAcrossWorlds(t *testing.T) {
 		strategy Strategy
 		mode     DistMode
 		frac     float64
-		engine   Engine
 	}
-	var cfgs []cfg
-	for _, engine := range []Engine{EngineSync, EnginePipelined} {
-		for _, mc := range []struct {
-			name string
-			mode DistMode
-			frac float64
-		}{
-			{"commopt", CommOpt, 0},
-			{"memopt", MemOpt, 0},
-			{"hybrid25", Hybrid, 0.25},
-			{"hybrid50", Hybrid, 0.5},
-		} {
-			cfgs = append(cfgs, cfg{
-				name: fmt.Sprintf("%s_%s", mc.name, engine), mode: mc.mode,
-				frac: mc.frac, engine: engine,
-			})
-		}
+	cfgs := []cfg{
+		{name: "commopt", mode: CommOpt},
+		{name: "memopt", mode: MemOpt},
+		{name: "hybrid25", mode: Hybrid, frac: 0.25},
+		{name: "hybrid50", mode: Hybrid, frac: 0.5},
 	}
 	// Split A/G ownership under a second strategy too: SizeGreedy routinely
 	// places a layer's factors on different owners, exercising the
@@ -53,7 +39,7 @@ func TestDistModesBitIdenticalAcrossWorlds(t *testing.T) {
 	// reference.
 	cfgs = append(cfgs,
 		cfg{name: "memopt_greedy", strategy: SizeGreedy, mode: MemOpt},
-		cfg{name: "hybrid50_greedy_pipelined", strategy: SizeGreedy, mode: Hybrid, frac: 0.5, engine: EnginePipelined},
+		cfg{name: "hybrid50_greedy", strategy: SizeGreedy, mode: Hybrid, frac: 0.5},
 	)
 
 	for world := 1; world <= maxWorld; world++ {
@@ -63,7 +49,6 @@ func TestDistModesBitIdenticalAcrossWorlds(t *testing.T) {
 			opts.Strategy = c.strategy
 			opts.DistMode = c.mode
 			opts.GradWorkerFrac = c.frac
-			opts.Engine = c.engine
 			got := worldStepTrace(t, world, opts, steps)
 			for r := range got {
 				if len(got[r]) == 0 {

@@ -6,7 +6,6 @@ import "repro/internal/comm"
 //
 //	prec := kfac.New(net, c,
 //		kfac.WithDamping(1e-3),
-//		kfac.WithEngine(kfac.EnginePipelined),
 //		kfac.WithStrategy(kfac.SizeGreedy))
 //
 // Options are applied in argument order over a zero Options value, later
@@ -97,15 +96,6 @@ func WithSkipLayers(names ...string) Option {
 // WithMaxFactorDim excludes layers whose A or G factor would exceed this
 // dimension (default 0 = no limit).
 func WithMaxFactorDim(d int) Option { return func(o *Options) { o.MaxFactorDim = d } }
-
-// WithEngine selects the Step execution engine (default EngineSync;
-// EnginePipelined overlaps compute, communication, and decomposition with
-// bit-identical results).
-func WithEngine(e Engine) Option { return func(o *Options) { o.Engine = e } }
-
-// WithPipelineWorkers bounds the pipelined engine's compute pool
-// (default 0 = GOMAXPROCS). Ignored by EngineSync.
-func WithPipelineWorkers(n int) Option { return func(o *Options) { o.PipelineWorkers = n } }
 
 // WithCompression applies a lossy codec to the factor allreduce and the
 // trainer's gradient exchange, wrapped in error-feedback residual

@@ -18,21 +18,18 @@ func TestBuildResolvesOptions(t *testing.T) {
 		WithPiDamping(),
 		WithSkipLayers("fc", "conv1"),
 		WithMaxFactorDim(64),
-		WithEngine(EnginePipelined),
-		WithPipelineWorkers(2),
 	)
 	want := Options{
 		Mode: InverseMode, Strategy: SizeGreedy, Damping: 0.01,
 		FactorDecay: 0.9, KLClip: -1, FactorUpdateFreq: 3, InvUpdateFreq: 30,
 		FusionBytes: 1 << 20, PiDamping: true, SkipLayers: []string{"fc", "conv1"},
-		MaxFactorDim: 64, Engine: EnginePipelined, PipelineWorkers: 2,
+		MaxFactorDim: 64,
 	}
 	if o.Mode != want.Mode || o.Strategy != want.Strategy || o.Damping != want.Damping ||
 		o.FactorDecay != want.FactorDecay || o.KLClip != want.KLClip ||
 		o.FactorUpdateFreq != want.FactorUpdateFreq || o.InvUpdateFreq != want.InvUpdateFreq ||
 		o.FusionBytes != want.FusionBytes || o.PiDamping != want.PiDamping ||
-		o.MaxFactorDim != want.MaxFactorDim || o.Engine != want.Engine ||
-		o.PipelineWorkers != want.PipelineWorkers {
+		o.MaxFactorDim != want.MaxFactorDim {
 		t.Errorf("Build = %+v, want %+v", o, want)
 	}
 	if len(o.SkipLayers) != 2 || o.SkipLayers[0] != "fc" || o.SkipLayers[1] != "conv1" {
@@ -78,9 +75,6 @@ func TestNewAppliesPaperDefaults(t *testing.T) {
 		p.opts.FactorUpdateFreq != 10 || p.opts.InvUpdateFreq != 100 {
 		t.Errorf("defaults not applied: %+v", p.opts)
 	}
-	if p.opts.Engine != EngineSync {
-		t.Errorf("default engine = %v", p.opts.Engine)
-	}
 }
 
 // A preconditioner built from options must match one built from the
@@ -90,8 +84,6 @@ func TestNewMatchesNewFromOptions(t *testing.T) {
 	b := buildTinyNet(7)
 	pa := New(a, nil, WithDamping(0.01), WithFactorUpdateFreq(1), WithInvUpdateFreq(2))
 	pb := NewFromOptions(b, nil, Options{Damping: 0.01, FactorUpdateFreq: 1, InvUpdateFreq: 2})
-	defer pa.Close()
-	defer pb.Close()
 	for i := 0; i < 4; i++ {
 		runStep(a, int64(100+i), 4)
 		runStep(b, int64(100+i), 4)

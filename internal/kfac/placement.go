@@ -56,8 +56,8 @@ func (f FactorRef) Cost() float64 { return linalg.EigFLOPs(f.Dim) }
 // workers): every rank computes the assignment independently and the
 // results must agree without communication (Algorithm 1, line 9).
 // Strategies resolve to planners through a registry (RegisterPlanner), so
-// new placement policies plug in without touching the engines — they only
-// ever see the resolved Plan.
+// new placement policies plug in without touching Step — it only ever
+// sees the resolved Plan.
 type Planner interface {
 	// Name identifies the planner in logs and plan summaries.
 	Name() string

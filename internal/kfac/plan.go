@@ -70,7 +70,7 @@ type LayerPlan struct {
 // Plan is a resolved distribution assignment: for every Kronecker factor an
 // owner rank, and for every layer a gradient-worker set, built once per
 // (strategy, mode, world) by the strategy's Planner and consumed uniformly
-// by both step engines. Every rank builds the identical Plan from shared
+// by Step. Every rank builds the identical Plan from shared
 // state, so no communication is needed to agree on it (Algorithm 1,
 // line 9); elastic recovery re-plans by rebuilding it for the new world.
 type Plan struct {
@@ -216,7 +216,7 @@ func (p *Plan) Recipients(layer int, isG bool) []int {
 // of the plan in float elements: each factor of dimension n contributes
 // n²+n (eigenbasis + eigenvalues) on every rank in its recipient set. This
 // is the memory side of the MEM-OPT/COMM-OPT tradeoff; multiply by the
-// element width (8 for the live float64 engines, 4 for the simulated FP32
+// element width (8 for the live float64 preconditioner, 4 for the simulated FP32
 // cluster) for bytes. refs must be the placement-order factor list the
 // plan was built from.
 func (p *Plan) DecompElemsPerRank(refs []FactorRef) []int64 {

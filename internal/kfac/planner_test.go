@@ -182,7 +182,6 @@ func TestWithAutoPlannerWiresPreconditioner(t *testing.T) {
 		Model:      stubPlanModel{},
 		GroupSizes: []int{3}, // force a visible group-size pick
 	}))
-	defer planned.Close()
 	d := planned.Decision()
 	if d == nil {
 		t.Fatal("Decision() nil with an active auto-planner")
@@ -203,7 +202,6 @@ func TestWithAutoPlannerWiresPreconditioner(t *testing.T) {
 		Model:      stubPlanModel{},
 		GroupSizes: []int{3},
 	}))
-	defer pinned.Close()
 	if got := pinned.effGroupSize(); got != 2 {
 		t.Fatalf("explicit group size lost: effGroupSize = %d, want 2", got)
 	}
@@ -211,13 +209,11 @@ func TestWithAutoPlannerWiresPreconditioner(t *testing.T) {
 	// Nil model: legacy path, bit-identical plan, no decision.
 	net3 := buildTinyNet(11)
 	legacy := New(net3, nil, WithAutoPlanner(AutoPlannerConfig{}))
-	defer legacy.Close()
 	if legacy.Decision() != nil {
 		t.Fatal("Decision() non-nil without a model")
 	}
 	net4 := buildTinyNet(11)
 	plain := New(net4, nil)
-	defer plain.Close()
 	if !reflect.DeepEqual(legacy.Plan(), plain.Plan()) {
 		t.Fatal("nil-model planner plan differs from legacy DistAuto plan")
 	}
@@ -225,7 +221,6 @@ func TestWithAutoPlannerWiresPreconditioner(t *testing.T) {
 	// An explicit DistMode bypasses the planner entirely.
 	net5 := buildTinyNet(11)
 	explicit := New(net5, nil, WithDistMode(MemOpt), WithAutoPlanner(AutoPlannerConfig{Model: stubPlanModel{}}))
-	defer explicit.Close()
 	if explicit.Decision() != nil {
 		t.Fatal("planner consulted despite explicit DistMode")
 	}

@@ -67,9 +67,9 @@ type layerF32 struct {
 	qA, qG     *tensor.T32
 	invA, invG *tensor.T32
 	// aEpoch/gEpoch count refreshes of the A and G mirrors. They are
-	// separate fields because the pipelined engine can refresh a layer's A
-	// and G slots from concurrent record-consumer goroutines; each site
-	// touches only its own counter.
+	// separate fields because the eig scheduler can refresh a layer's A
+	// and G slots from concurrent decomposition jobs; each site touches
+	// only its own counter.
 	aEpoch, gEpoch uint64
 
 	// recip caches the elementwise reciprocal denominator of Equation 14,

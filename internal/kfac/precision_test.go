@@ -50,20 +50,18 @@ const f32StepTol = 1e-3
 // through the float32 kernel path — factors, eigendecompositions stay f64,
 // but every Gram product and preconditioning matmul runs in float32 — and
 // requires each layer's final gradient to track the float64 reference
-// within f32StepTol, for both preconditioning modes and both step engines.
+// within f32StepTol, for both preconditioning modes.
 func TestF32StepMatchesF64SingleProcess(t *testing.T) {
 	for _, mode := range []Mode{EigenMode, InverseMode} {
-		for _, engine := range []Engine{EngineSync, EnginePipelined} {
-			base := Options{Mode: mode, Engine: engine, FactorUpdateFreq: 1, InvUpdateFreq: 2}
-			want := stepTrace(t, nil, base, 5)
-			f32opts := base
-			f32opts.Precision = F32
-			got := stepTrace(t, nil, f32opts, 5)
-			for i := range want {
-				if e := relFrobErr(got[i], want[i]); e > f32StepTol {
-					t.Errorf("mode=%v engine=%v layer %d: f32 relative error %.3e > %.0e",
-						mode, engine, i, e, f32StepTol)
-				}
+		base := Options{Mode: mode, FactorUpdateFreq: 1, InvUpdateFreq: 2}
+		want := stepTrace(t, nil, base, 5)
+		f32opts := base
+		f32opts.Precision = F32
+		got := stepTrace(t, nil, f32opts, 5)
+		for i := range want {
+			if e := relFrobErr(got[i], want[i]); e > f32StepTol {
+				t.Errorf("mode=%v layer %d: f32 relative error %.3e > %.0e",
+					mode, i, e, f32StepTol)
 			}
 		}
 	}
@@ -108,7 +106,6 @@ func TestF32StepWithF32ComputeLayers(t *testing.T) {
 			opts.Precision = F32
 		}
 		prec := NewFromOptions(net, nil, opts)
-		defer prec.Close()
 		for i := 0; i < 5; i++ {
 			runStep(net, int64(1000+i), 4)
 			if err := prec.Step(0.1); err != nil {

@@ -81,14 +81,6 @@ type Options struct {
 	// MaxFactorDim excludes layers whose A or G factor would exceed this
 	// dimension (0 = no limit) — a memory/time guard for very wide layers.
 	MaxFactorDim int
-	// Engine selects how Step executes its stages: EngineSync (default)
-	// runs them strictly in sequence; EnginePipelined overlaps per-layer
-	// factor computation, fused async allreduce, eigendecomposition, and a
-	// streamed per-layer allgather. Both engines are numerically identical.
-	Engine Engine
-	// PipelineWorkers bounds the pipelined engine's compute pool
-	// (0 = GOMAXPROCS). Ignored by EngineSync.
-	PipelineWorkers int
 	// Precision selects the arithmetic width of the covariance and
 	// preconditioning kernels (default F64). F32 stores and multiplies in
 	// float32 with float64 accumulation; running averages, decompositions,
@@ -202,7 +194,6 @@ type Preconditioner struct {
 	plan   *Plan // resolved distribution plan (rebuilt by replan)
 	step   int
 	stats  StageStats
-	pool   *sched.Pool // lazily created by the pipelined engine
 
 	// factorEF persists factor-path compression residuals across steps;
 	// tuner is the autotune controller state (nil when disabled).
@@ -216,10 +207,8 @@ type Preconditioner struct {
 	decision         *PlanDecision
 	plannedGroupSize int
 
-	// Reused per-step slices and dispatch record for the precondition
-	// phase.
+	// Reused per-step slices for the precondition phase.
 	gradsBuf, precondsBuf []*tensor.Tensor
-	precondRg             precondRanger
 
 	// eigJobsBuf is the reused decomposition fan-out queue.
 	eigJobsBuf []eigJob
@@ -260,8 +249,8 @@ func NewFromOptions(model nn.Layer, c *comm.Communicator, opts Options) *Precond
 		l.SetCapture(true)
 		s := &layerState{layer: l}
 		if opts.Precision == F32 {
-			// Allocated eagerly: the pipelined engine refreshes a layer's A
-			// and G float32 mirrors from concurrent record consumers, so the
+			// Allocated eagerly: the eig scheduler may decompose a layer's A
+			// and G concurrently, each refreshing its float32 mirror, so the
 			// lazy ensureF32 would race here.
 			s.f32 = &layerF32{}
 		}
@@ -447,6 +436,11 @@ func (p *Preconditioner) SetFactorUpdateFreq(k int) {
 // StepCount returns the number of completed Step calls.
 func (p *Preconditioner) StepCount() int { return p.step }
 
+// Close is a no-op: a Preconditioner holds no goroutines or pools of its
+// own (decompositions and kernels use the process-wide sched.Shared pool).
+// It is kept so callers that defer Close keep compiling.
+func (p *Preconditioner) Close() {}
+
 // Step preconditions every registered layer's gradient in place. Call after
 // gradients have been computed (and averaged across ranks) and before the
 // optimizer update. lr is the current learning rate, used by the κ gradient
@@ -454,8 +448,8 @@ func (p *Preconditioner) StepCount() int { return p.step }
 //
 // All ranks must call Step the same number of times with identical options
 // and an identically ordered layer list (guaranteed when every rank builds
-// the same model): the collective schedule — and under EnginePipelined the
-// async collective issue order — is a deterministic function of that state.
+// the same model): the collective schedule is a deterministic function of
+// that state.
 func (p *Preconditioner) Step(lr float64) error {
 	iter := p.step
 	p.step++
@@ -463,23 +457,14 @@ func (p *Preconditioner) Step(lr float64) error {
 	doFactors := iter%p.opts.FactorUpdateFreq == 0
 	doDecomp := iter%p.opts.InvUpdateFreq == 0
 	// Autotune consensus runs at factor-update boundaries (after the first
-	// update has produced a measurement), before either engine issues its
-	// collectives — the same schedule point on every rank, so the tiny
-	// consensus allreduce never interleaves differently with engine traffic.
+	// update has produced a measurement), before the factor allreduce — the
+	// same schedule point on every rank, so the tiny consensus allreduce
+	// never interleaves differently with the step's other collectives.
 	if p.tuner != nil && doFactors && iter > 0 && p.comm != nil && p.comm.Size() > 1 {
 		if err := p.autotune(iter); err != nil {
 			return err
 		}
 	}
-	if p.opts.Engine == EnginePipelined {
-		if doFactors || doDecomp {
-			if err := p.updatePipelined(doFactors, doDecomp); err != nil {
-				return err
-			}
-		}
-		return p.preconditionParallel(lr)
-	}
-
 	if doFactors {
 		if err := p.updateFactors(); err != nil {
 			return err
@@ -495,8 +480,7 @@ func (p *Preconditioner) Step(lr float64) error {
 
 // computeCovState recomputes one layer's local covariance factors into its
 // reused workspaces and folds them into the running averages
-// (Equations 16–17). Both step engines share this path, so their factor
-// arithmetic is identical bit for bit.
+// (Equations 16–17).
 func (p *Preconditioner) computeCovState(s *layerState) {
 	if p.opts.Precision == F32 {
 		p.computeCovState32(s)
@@ -852,7 +836,7 @@ func (p *Preconditioner) combinedGrad(s *layerState) *tensor.Tensor {
 
 // applyKLClip applies the κ gradient scaling (Equation 18) and writes the
 // preconditioned gradients back: ν = min(1, sqrt(κ / (lr²·Σ|v·g|))). The
-// dot-product reduction runs in layer order so both step engines produce
+// dot-product reduction runs in layer order so every rank produces
 // bit-identical results.
 func (p *Preconditioner) applyKLClip(lr float64, grads, preconds []*tensor.Tensor) {
 	nu := 1.0
@@ -1013,9 +997,7 @@ func (p *Preconditioner) consumeRecords(block []float64) error {
 		if pos+n+n*n > len(block) {
 			return fmt.Errorf("kfac: truncated eigen record")
 		}
-		// Select the slot by pointer so each record touches only its own
-		// field — the pipelined engine consumes a layer's A and G records on
-		// concurrent waiter goroutines.
+		// Select the A or G slot of the layer this record belongs to.
 		slot := &s.eigA
 		if isG {
 			slot = &s.eigG

@@ -8,18 +8,33 @@ import (
 	"repro/internal/linalg"
 )
 
-// StageStats accumulates wall-clock time per K-FAC pipeline stage of the
-// *real* implementation — the measured analogue of the paper's Table V
-// profile (factor computation vs communication, eigendecomposition vs
+// StageStats accumulates the time per K-FAC stage of the *real*
+// implementation — the measured analogue of the paper's Table V profile
+// (factor computation vs communication, eigendecomposition vs
 // communication) plus the per-iteration preconditioning cost.
+//
+// The five stage fields are wall time: each is the elapsed time of one
+// sequential phase of Step, measured around it on the calling goroutine,
+// so their sum over a run never exceeds the wall time of its Steps even
+// when a phase fans out across cores. Only the per-kernel eig fields below
+// are summed task time.
 type StageStats struct {
 	mu sync.Mutex
 
+	// FactorCompute is the wall time spent computing the local covariance
+	// factors and folding them into the running averages.
 	FactorCompute time.Duration
-	FactorComm    time.Duration
-	EigCompute    time.Duration
-	EigComm       time.Duration
-	Precondition  time.Duration
+	// FactorComm is the wall time of the fused factor allreduce.
+	FactorComm time.Duration
+	// EigCompute is the wall time of this rank's decomposition fan-out
+	// (all owned factors, including concurrent eig teams).
+	EigCompute time.Duration
+	// EigComm is the wall time of the decomposition exchange (allgather or
+	// recipient-group broadcasts).
+	EigComm time.Duration
+	// Precondition is the wall time of the per-step preconditioning phase,
+	// including any preconditioned-gradient broadcasts of partial plans.
+	Precondition time.Duration
 
 	// Per-kernel decomposition time of the blocked eigensolver, summed
 	// across factors (zero under EigSerial and for small factors on the
@@ -33,19 +48,6 @@ type StageStats struct {
 	FactorUpdates int
 	EigUpdates    int
 	Steps         int
-
-	// Pipelined-engine metrics (zero under EngineSync). PipelineWall is the
-	// wall-clock spent inside pipelined update phases; PipelineWork is the
-	// summed stage time folded into those phases — per-task compute time
-	// plus each communication phase measured as a first-issue→last-
-	// completion window (so concurrent in-flight collectives are never
-	// double-counted); PipelineIdle is the time stage issuers spent
-	// starved, blocked on upstream per-layer events. Work in excess of
-	// wall is time the pipeline overlapped — see Overlap.
-	PipelineWall    time.Duration
-	PipelineWork    time.Duration
-	PipelineIdle    time.Duration
-	PipelineUpdates int
 
 	// PeakFactorBytes is the high-water mark of this rank's resident K-FAC
 	// factor state (running averages, workspaces, and the decompositions
@@ -132,31 +134,10 @@ func (s *StageStats) Snapshot() StageStats {
 		FactorUpdates:   s.FactorUpdates,
 		EigUpdates:      s.EigUpdates,
 		Steps:           s.Steps,
-		PipelineWall:    s.PipelineWall,
-		PipelineWork:    s.PipelineWork,
-		PipelineIdle:    s.PipelineIdle,
-		PipelineUpdates: s.PipelineUpdates,
 		PeakFactorBytes: s.PeakFactorBytes,
 		TuneDecisions:   append([]TuneDecision(nil), s.TuneDecisions...),
 		EigTeams:        append([]EigTeamAssign(nil), s.EigTeams...),
 	}
-}
-
-// overlapOf computes the overlap metric from already-snapshotted values.
-func overlapOf(work, wall time.Duration) time.Duration {
-	if d := work - wall; d > 0 {
-		return d
-	}
-	return 0
-}
-
-// Overlap estimates the time the pipelined engine saved by overlapping
-// compute with communication and parallelizing across layers: total task
-// busy time minus the wall-clock the update phases actually took. Zero for
-// the synchronous engine (whose work and wall coincide by construction).
-func (s *StageStats) Overlap() time.Duration {
-	snap := s.Snapshot()
-	return overlapOf(snap.PipelineWork, snap.PipelineWall)
 }
 
 // PerFactorUpdate returns mean (compute, comm) time per factor update.
@@ -197,15 +178,6 @@ func (s *StageStats) String() string {
 		out += fmt.Sprintf(" | eig kernels tridiag=%v backaccum=%v ql=%v",
 			snap.EigTridiag.Round(time.Microsecond), snap.EigBackAccum.Round(time.Microsecond),
 			snap.EigQL.Round(time.Microsecond))
-	}
-	if snap.PipelineUpdates > 0 {
-		// Reuse the snapshot so the line is self-consistent even when
-		// sampled mid-step.
-		out += fmt.Sprintf(" | pipeline wall=%v work=%v idle=%v overlap=%v (×%d)",
-			snap.PipelineWall.Round(time.Microsecond), snap.PipelineWork.Round(time.Microsecond),
-			snap.PipelineIdle.Round(time.Microsecond),
-			overlapOf(snap.PipelineWork, snap.PipelineWall).Round(time.Microsecond),
-			snap.PipelineUpdates)
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -68,31 +69,6 @@ func TestKFACStepSteadyStateZeroAllocsInverseMode(t *testing.T) {
 	}
 }
 
-// TestKFACStepSteadyStateZeroAllocsPipelined guards the pipelined engine's
-// steady-state path: stale steps bypass the update pipeline entirely and
-// fan preconditioning out with the zero-allocation ForEach dispatch.
-func TestKFACStepSteadyStateZeroAllocsPipelined(t *testing.T) {
-	net := buildTinyNet(79)
-	prec := NewFromOptions(net, nil, Options{
-		Engine: EnginePipelined, FactorUpdateFreq: 1 << 30, InvUpdateFreq: 1 << 30, Damping: 1e-3,
-	})
-	defer prec.Close()
-	runStep(net, 302, 4)
-	for i := 0; i < 3; i++ {
-		if err := prec.Step(0.1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := prec.Step(0.1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state pipelined Step allocated %.1f times per run, want 0", allocs)
-	}
-}
-
 // TestDecomposeFailurePreservesPreviousEigen: the in-place decomposition
 // refresh double-buffers, so a failing eigensolve must leave the last good
 // decomposition in place for the stale-preconditioning path.
@@ -112,6 +88,25 @@ func TestDecomposeFailurePreservesPreviousEigen(t *testing.T) {
 	if !s.eigA.Q.Equal(q0, 0) {
 		t.Error("failed decomposition clobbered the previous eigenbasis")
 	}
+}
+
+// stepTrace runs several preconditioned steps on a fresh tiny net and
+// returns every layer's final gradient.
+func stepTrace(t *testing.T, c *comm.Communicator, opts Options, steps int) []*tensor.Tensor {
+	t.Helper()
+	net := buildTinyNet(42)
+	prec := NewFromOptions(net, c, opts)
+	for i := 0; i < steps; i++ {
+		runStep(net, int64(1000+i), 4)
+		if err := prec.Step(0.1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out []*tensor.Tensor
+	for _, l := range nn.CapturableLayers(net) {
+		out = append(out, l.CombinedGrad().Clone())
+	}
+	return out
 }
 
 // worldStepTrace runs stepTrace on every rank of a p-rank in-process world
@@ -139,8 +134,7 @@ func worldStepTrace(t *testing.T, p int, opts Options, steps int) [][]*tensor.Te
 // kernel swap: same-seed runs through the blocked symmetric-multiply
 // covariance kernel must leave every rank's preconditioned gradients
 // bit-identical to runs through the reference general-matmul kernel, for
-// every world size 1–8 (exact comparison, both step engines exercised via
-// the factor path both engines share).
+// every world size 1–8 (exact comparison).
 func TestCovKernelBitIdenticalAcrossWorlds(t *testing.T) {
 	opts := Options{FactorUpdateFreq: 1, InvUpdateFreq: 2}
 	const steps = 3

@@ -1,9 +1,9 @@
 package linalg
 
-// Reentrancy tests for the kernels the pipelined K-FAC engine calls from
-// multiple pool workers at once. Run with -race: the assertions check both
+// Reentrancy tests for the kernels the K-FAC eig scheduler calls from
+// several goroutines at once. Run with -race: the assertions check both
 // freedom from data races and that concurrent results are bit-identical to
-// serial ones (the engine's numerical-equivalence guarantee depends on it).
+// serial ones (K-FAC's cross-world bit-identity depends on it).
 
 import (
 	"math/rand"

@@ -45,8 +45,8 @@ type Eigen struct {
 //
 // SymEig is reentrant: it touches no package state and works on private
 // copies, so concurrent calls on distinct (or even shared, unmutated)
-// inputs are safe. The pipelined K-FAC engine relies on this to
-// eigendecompose a rank's owned layers in parallel; see
+// inputs are safe. The K-FAC eig scheduler relies on this to
+// eigendecompose a rank's owned factors in parallel; see
 // TestConcurrentSymEigMatchesSerial.
 func SymEig(a *tensor.Tensor) (*Eigen, error) {
 	eg := &Eigen{}

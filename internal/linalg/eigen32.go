@@ -30,8 +30,8 @@ import (
 const maxJacobiSweeps = 40
 
 // jacobiWorkspace holds one decomposition's float32 working matrix and
-// transposed eigenvector accumulator; pooled because the pipelined K-FAC
-// engine decomposes a rank's owned layers concurrently.
+// transposed eigenvector accumulator; pooled because the K-FAC eig
+// scheduler decomposes a rank's owned factors concurrently.
 type jacobiWorkspace struct {
 	m  []float32 // working copy of the matrix, row-major n×n
 	vt []float32 // Vᵀ: row j is eigenvector j, so V-updates are row rotations

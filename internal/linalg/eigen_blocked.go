@@ -63,12 +63,12 @@ const (
 // column-swapped panels, the rank-2b update buffer, and the
 // rotation/permutation scratch — so steady-state redecomposition performs
 // no heap allocation. Checkouts are balanced per call (Get/Put), never
-// Reset, so concurrent decompositions (the pipelined engine, intra-step
-// factor teams) share the arena safely.
+// Reset, so concurrent decompositions (the eig scheduler's inter-factor
+// parallelism and intra-factor teams) share the arena safely.
 var eigArena = tensor.NewArena()
 
 // EigKernelTimes accumulates the per-kernel wall time of one or more
-// blocked eigendecompositions, in nanoseconds. The K-FAC engines surface
+// blocked eigendecompositions, in nanoseconds. The K-FAC preconditioner surfaces
 // these through StageStats so the stage profile shows where
 // decomposition time goes, not just its total.
 type EigKernelTimes struct {

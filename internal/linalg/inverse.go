@@ -19,7 +19,7 @@ var ErrSingular = errors.New("linalg: matrix is singular")
 //
 // Inverse (and InverseDamped) are reentrant: the input is cloned before
 // elimination and no package state is shared, so concurrent calls are safe
-// — the property the pipelined K-FAC engine depends on when inverting a
+// — the property the K-FAC eig scheduler depends on when inverting a
 // rank's owned factors in parallel.
 func Inverse(a *tensor.Tensor) (*tensor.Tensor, error) {
 	n := a.Rows()

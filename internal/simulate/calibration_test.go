@@ -1,6 +1,6 @@
 // Model-vs-measured calibration suite: the topology cost model's step-time
 // predictions checked against freshly measured training runs on THIS host,
-// worlds 1–8, both step engines, across the distribution-mode axis. The
+// worlds 1–8, across the distribution-mode axis. The
 // model's constants (link α–β, eigensolver and GEMM throughput, base step
 // cost) are probed locally right before the comparison, so the suite
 // calibrates the model's *structure* — which stages it bills, how costs
@@ -14,7 +14,7 @@
 // noise, cache effects, and allocator jitter on tiny matrices. What the
 // band catches is structural breakage — a stage billed to the wrong
 // frequency, a collective priced at the wrong world, a mode whose plan
-// diverges from what the engines execute. docs/PERFORMANCE.md records the
+// diverges from what Step executes. docs/PERFORMANCE.md records the
 // band next to the committed w16/w32 trajectories.
 //
 // This test lives in package simulate_test (not simulate) because it drives
@@ -136,11 +136,11 @@ func probeLink(t *testing.T) simulate.Link {
 }
 
 // symEigSec measures the best-of-reps time of one symmetric
-// eigendecomposition at dimension d using the solver the engines actually
+// eigendecomposition at dimension d using the solver K-FAC actually
 // run — the blocked solver with a full-machine team (the eig scheduler's
 // choice for a factor that is the whole rank load). Small probe
 // dimensions take the solver's own serial fallback, exactly as the
-// engines' small factors do.
+// live preconditioner's small factors do.
 func symEigSec(t *testing.T, d, team int) float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
@@ -255,14 +255,13 @@ func calibrationModel(t *testing.T) *simulate.PlanModel {
 // calibRank is one measured rank: the benchmark runner's per-rank body
 // (same network, update frequencies, warmup discipline) returning the mean
 // measured step time.
-func calibRank(c *comm.Communicator, engine kfac.Engine, mode kfac.DistMode, frac float64, steps int) (float64, error) {
+func calibRank(c *comm.Communicator, mode kfac.DistMode, frac float64, steps int) (float64, error) {
 	net := calibNet()
 	x, labels := calibBatchData()
 	prec := kfac.NewFromOptions(net, c, kfac.Options{
 		FactorUpdateFreq: calibFacFreq, InvUpdateFreq: calibInvFreq, Damping: 1e-3,
-		DistMode: mode, GradWorkerFrac: frac, Engine: engine,
+		DistMode: mode, GradWorkerFrac: frac,
 	})
-	defer prec.Close()
 	ce := nn.CrossEntropy{}
 	params := net.Params()
 	step := func() error {
@@ -290,7 +289,7 @@ func calibRank(c *comm.Communicator, engine kfac.Engine, mode kfac.DistMode, fra
 
 // measureStepSec runs world lockstep ranks over an in-process fabric and
 // returns rank 0's mean step time.
-func measureStepSec(t *testing.T, engine kfac.Engine, mode kfac.DistMode, frac float64, world, steps int) float64 {
+func measureStepSec(t *testing.T, mode kfac.DistMode, frac float64, world, steps int) float64 {
 	t.Helper()
 	fab := comm.NewInprocFabric(world)
 	abortCtx, abort := context.WithCancel(context.Background())
@@ -308,7 +307,7 @@ func measureStepSec(t *testing.T, engine kfac.Engine, mode kfac.DistMode, frac f
 				}
 			}()
 			c := comm.NewCommunicator(fab.Endpoint(r)).WithContext(abortCtx)
-			mean, err := calibRank(c, engine, mode, frac, steps)
+			mean, err := calibRank(c, mode, frac, steps)
 			errs[r] = err
 			if r == 0 {
 				rank0Mean = mean
@@ -327,13 +326,11 @@ func measureStepSec(t *testing.T, engine kfac.Engine, mode kfac.DistMode, frac f
 // calibRefs resolves the factor list of the calibration network — the same
 // refs BuildPlan sees in the measured runs.
 func calibRefs() []kfac.FactorRef {
-	prec := kfac.NewFromOptions(calibNet(), nil, kfac.Options{Damping: 1e-3})
-	defer prec.Close()
-	return prec.FactorRefs()
+	return kfac.NewFromOptions(calibNet(), nil, kfac.Options{Damping: 1e-3}).FactorRefs()
 }
 
 // TestCalibrationPredictedVsMeasured is the calibration gate: for every
-// (engine × mode × world) cell it compares the model's predicted step time
+// (mode × world) cell it compares the model's predicted step time
 // against a fresh measurement and requires agreement within calibTolerance
 // in either direction. Measured wall time is normalized by the CPU
 // oversubscription factor ⌈world/GOMAXPROCS⌉ first: goroutine ranks
@@ -349,7 +346,6 @@ func TestCalibrationPredictedVsMeasured(t *testing.T) {
 		worlds = []int{1, 2}
 		steps = calibInvFreq
 	}
-	engines := []kfac.Engine{kfac.EngineSync, kfac.EnginePipelined}
 	modes := []struct {
 		name string
 		mode kfac.DistMode
@@ -361,21 +357,19 @@ func TestCalibrationPredictedVsMeasured(t *testing.T) {
 	}
 
 	maxProcs := runtime.GOMAXPROCS(0)
-	for _, eng := range engines {
-		for _, md := range modes {
-			for _, world := range worlds {
-				cand := kfac.PlanCandidate{Mode: md.mode, GradWorkerFrac: md.frac}
-				predicted := model.Evaluate(kfac.RoundRobin, refs, world, cand).StepSec
-				measured := measureStepSec(t, eng, md.mode, md.frac, world, steps)
-				oversub := (world + maxProcs - 1) / maxProcs
-				normalized := measured / float64(oversub)
-				ratio := predicted / normalized
-				t.Logf("%-9s %-8s w%-2d predicted %8.3gms measured %8.3gms norm %8.3gms ratio %5.2f",
-					eng, md.name, world, predicted*1e3, measured*1e3, normalized*1e3, ratio)
-				if ratio > calibTolerance || ratio < 1/calibTolerance {
-					t.Errorf("%s/%s w%d: predicted %.3gms vs normalized measured %.3gms — ratio %.2f outside ±%gx band",
-						eng, md.name, world, predicted*1e3, normalized*1e3, ratio, calibTolerance)
-				}
+	for _, md := range modes {
+		for _, world := range worlds {
+			cand := kfac.PlanCandidate{Mode: md.mode, GradWorkerFrac: md.frac}
+			predicted := model.Evaluate(kfac.RoundRobin, refs, world, cand).StepSec
+			measured := measureStepSec(t, md.mode, md.frac, world, steps)
+			oversub := (world + maxProcs - 1) / maxProcs
+			normalized := measured / float64(oversub)
+			ratio := predicted / normalized
+			t.Logf("%-8s w%-2d predicted %8.3gms measured %8.3gms norm %8.3gms ratio %5.2f",
+				md.name, world, predicted*1e3, measured*1e3, normalized*1e3, ratio)
+			if ratio > calibTolerance || ratio < 1/calibTolerance {
+				t.Errorf("%s w%d: predicted %.3gms vs normalized measured %.3gms — ratio %.2f outside ±%gx band",
+					md.name, world, predicted*1e3, normalized*1e3, ratio, calibTolerance)
 			}
 		}
 	}

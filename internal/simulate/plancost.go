@@ -7,7 +7,7 @@ import (
 // PlanModel is the topology-aware plan/cost model behind kfac's auto
 // planner: it prices one candidate (DistMode, GradWorkerFrac, GroupSize)
 // configuration by resolving the *real* kfac.Plan over the factor list and
-// walking the communication the step engines would issue under it, with
+// walking the communication kfac's Step would issue under it, with
 // each collective priced on the node/rack Topology. It implements
 // kfac.PlanCostModel, and is a pure function of its inputs — the
 // determinism contract auto-planning across ranks depends on.
@@ -18,7 +18,7 @@ type PlanModel struct {
 	// paper's FP32 fabric, 8 this repo's exact float64 wire format).
 	BytesPerElem float64
 	// DecompBytesPerElem is the resident width of one decomposition
-	// element. The live engines hold decompositions in float64 even on the
+	// element. The live preconditioner holds decompositions in float64 even on the
 	// f32 compute path, so admission parity wants 8 (the default).
 	DecompBytesPerElem float64
 	// EigFlopsPerSec is the effective symmetric-eigensolver throughput.
@@ -151,7 +151,7 @@ func memStats(b []int64) (min, median, max int64) {
 func (e *PlanEval) MemStats() (min, median, max int64) { return memStats(e.MemBytesPerRank) }
 
 // Evaluate prices one candidate configuration at the given world size: it
-// builds the real plan, prices every collective the engines would issue on
+// builds the real plan, prices every collective Step would issue on
 // the topology, and totals the amortized per-iteration cost alongside the
 // exact per-rank memory footprint.
 func (pm *PlanModel) Evaluate(strategy kfac.Strategy, refs []kfac.FactorRef, world int, cand kfac.PlanCandidate) PlanEval {

@@ -1,6 +1,6 @@
 // Package testenv centralizes the reduced-iteration knob the race-enabled
 // CI job uses: `go test -race ./...` multiplies runtimes several-fold, so
-// the concurrency-heavy suites (pipelined engine, sessions, chaos
+// the concurrency-heavy suites (distributed K-FAC, sessions, chaos
 // conformance) read Short() and shrink world sizes / iteration counts to
 // stay under the job timeout while still exercising every code path.
 package testenv

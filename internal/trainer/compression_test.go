@@ -12,13 +12,13 @@ import (
 // runCompressedWorld2 trains the standard tiny task on two ranks with the
 // given codec configuration and returns rank 0's final-epoch training loss.
 // All runs share seeds, so any loss difference is purely the codec's doing.
-func runCompressedWorld2(t *testing.T, eng kfac.Engine, codec comm.Codec, bare bool, epochs int) float64 {
+func runCompressedWorld2(t *testing.T, codec comm.Codec, bare bool, epochs int) float64 {
 	t.Helper()
 	train, test := tinyDataset(t)
 	cfg := baseConfig()
 	cfg.Epochs = epochs
 	cfg.KFAC = &kfac.Options{
-		FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01, Engine: eng,
+		FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01,
 		Compression: codec, NoErrorFeedback: bare,
 	}
 	results, err := RunDistributed(2, buildTestNet, train, test, cfg)
@@ -37,7 +37,7 @@ func runCompressedWorld2(t *testing.T, eng kfac.Engine, codec comm.Codec, bare b
 // uncompressed run within a small loss tolerance. The compensated residual
 // telescopes (comm.TestErrorFeedbackTelescopes proves the arithmetic
 // identity); this test shows the identity buys actual training convergence.
-// Table-driven over the sparsity fraction and both step engines; the runs
+// Table-driven over the sparsity fraction; the runs
 // are deterministic, so the tolerances guard future algorithm changes, not
 // noise.
 func TestTopKErrorFeedbackConvergenceSafety(t *testing.T) {
@@ -62,38 +62,34 @@ func TestTopKErrorFeedbackConvergenceSafety(t *testing.T) {
 		// but not catastrophic, so only the EF side is asserted.
 		{name: "topk3pct", k: 0.03, efTol: 0.03},
 	}
-	for _, eng := range []kfac.Engine{kfac.EngineSync, kfac.EnginePipelined} {
-		exact := runCompressedWorld2(t, eng, nil, false, epochs)
-		for _, tc := range cases {
-			codec := comm.TopKCodec{FractionK: tc.k}
-			ef := runCompressedWorld2(t, eng, codec, false, epochs)
-			if d := math.Abs(ef - exact); d > tc.efTol {
-				t.Errorf("engine=%v %s: EF loss %.4f drifted %.4f from exact %.4f (tol %.3f)",
-					eng, tc.name, ef, d, exact, tc.efTol)
-			}
-			bare := runCompressedWorld2(t, eng, codec, true, epochs)
-			if bare <= ef {
-				t.Errorf("engine=%v %s: bare loss %.4f not worse than EF %.4f — sparsity not biting",
-					eng, tc.name, bare, ef)
-			}
-			if tc.bareMinExcess > 0 && bare-exact < tc.efTol+tc.bareMinExcess {
-				t.Errorf("engine=%v %s: bare loss %.4f did not diverge from exact %.4f (want excess > %.3f)",
-					eng, tc.name, bare, exact, tc.efTol+tc.bareMinExcess)
-			}
+	exact := runCompressedWorld2(t, nil, false, epochs)
+	for _, tc := range cases {
+		codec := comm.TopKCodec{FractionK: tc.k}
+		ef := runCompressedWorld2(t, codec, false, epochs)
+		if d := math.Abs(ef - exact); d > tc.efTol {
+			t.Errorf("%s: EF loss %.4f drifted %.4f from exact %.4f (tol %.3f)",
+				tc.name, ef, d, exact, tc.efTol)
+		}
+		bare := runCompressedWorld2(t, codec, true, epochs)
+		if bare <= ef {
+			t.Errorf("%s: bare loss %.4f not worse than EF %.4f — sparsity not biting",
+				tc.name, bare, ef)
+		}
+		if tc.bareMinExcess > 0 && bare-exact < tc.efTol+tc.bareMinExcess {
+			t.Errorf("%s: bare loss %.4f did not diverge from exact %.4f (want excess > %.3f)",
+				tc.name, bare, exact, tc.efTol+tc.bareMinExcess)
 		}
 	}
 }
 
 // TestFloat16CompressionTracksExact: the value-quantizing codec (no
 // sparsification) needs no divergence foil — half-precision payloads plus
-// error feedback must track the exact run tightly on both engines.
+// error feedback must track the exact run tightly.
 func TestFloat16CompressionTracksExact(t *testing.T) {
 	epochs := testenv.Scale(6, 3)
-	for _, eng := range []kfac.Engine{kfac.EngineSync, kfac.EnginePipelined} {
-		exact := runCompressedWorld2(t, eng, nil, false, epochs)
-		f16 := runCompressedWorld2(t, eng, comm.Float16Codec{}, false, epochs)
-		if d := math.Abs(f16 - exact); d > 0.05*(1+math.Abs(exact)) {
-			t.Errorf("engine=%v: float16 loss %.4f vs exact %.4f (Δ %.4f)", eng, f16, exact, d)
-		}
+	exact := runCompressedWorld2(t, nil, false, epochs)
+	f16 := runCompressedWorld2(t, comm.Float16Codec{}, false, epochs)
+	if d := math.Abs(f16 - exact); d > 0.05*(1+math.Abs(exact)) {
+		t.Errorf("float16 loss %.4f vs exact %.4f (Δ %.4f)", f16, exact, d)
 	}
 }

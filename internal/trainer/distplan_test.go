@@ -13,33 +13,31 @@ import (
 func TestDistModesTrainBitIdentically(t *testing.T) {
 	train, test := tinyDataset(t)
 	const world = 4
-	run := func(mode kfac.DistMode, frac float64, engine kfac.Engine) []*Result {
+	run := func(mode kfac.DistMode, frac float64) []*Result {
 		cfg := baseConfig()
 		cfg.Epochs = 2
 		cfg.BatchPerRank = 8
 		cfg.KFAC = &kfac.Options{
 			FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01,
-			DistMode: mode, GradWorkerFrac: frac, Engine: engine,
+			DistMode: mode, GradWorkerFrac: frac,
 		}
 		results, err := RunDistributed(world, buildTestNet, train, test, cfg)
 		if err != nil {
-			t.Fatalf("%v f=%v %v: %v", mode, frac, engine, err)
+			t.Fatalf("%v f=%v: %v", mode, frac, err)
 		}
 		return results
 	}
-	ref := run(kfac.DistAuto, 0, kfac.EngineSync)
+	ref := run(kfac.DistAuto, 0)
 	for _, tc := range []struct {
-		name   string
-		mode   kfac.DistMode
-		frac   float64
-		engine kfac.Engine
+		name string
+		mode kfac.DistMode
+		frac float64
 	}{
-		{"commopt", kfac.CommOpt, 0, kfac.EngineSync},
-		{"memopt", kfac.MemOpt, 0, kfac.EngineSync},
-		{"hybrid50", kfac.Hybrid, 0.5, kfac.EngineSync},
-		{"memopt_pipelined", kfac.MemOpt, 0, kfac.EnginePipelined},
+		{"commopt", kfac.CommOpt, 0},
+		{"memopt", kfac.MemOpt, 0},
+		{"hybrid50", kfac.Hybrid, 0.5},
 	} {
-		got := run(tc.mode, tc.frac, tc.engine)
+		got := run(tc.mode, tc.frac)
 		for r := range got {
 			for e := range got[r].History {
 				w, g := ref[r].History[e], got[r].History[e]

@@ -408,15 +408,13 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 	}
 	var prec *kfac.Preconditioner
 	if cfg.KFAC != nil {
-		// The K-FAC options (including the step engine) pass through as-is.
-		// Under kfac.EnginePipelined the preconditioner issues overlapping
-		// async collectives inside Step; that is safe here because every
-		// rank builds the identical model (so the per-layer schedule is
+		// The K-FAC options pass through as-is. Step keeps fused factor
+		// allreduce chunks in flight; that is safe here because every rank
+		// builds the identical model (so the collective schedule is
 		// deterministic and identical) and the session performs no other
 		// collective between Step's entry and return — the SPMD ordering
 		// contract of docs/ARCHITECTURE.md.
 		prec = kfac.NewFromOptions(s.net, c, *cfg.KFAC)
-		defer prec.Close()
 	}
 	ce := nn.CrossEntropy{Smoothing: cfg.LabelSmoothing}
 	sampler := data.ShardSampler{N: s.train.Len(), Rank: rank, World: world, Seed: cfg.Seed}

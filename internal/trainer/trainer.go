@@ -5,10 +5,9 @@
 // and a first-order optimizer update — plus distributed validation and the
 // learning-rate / damping / update-frequency schedules the experiments use.
 //
-// The K-FAC step may run either synchronously or through the pipelined
-// engine (kfac.Options.Engine); the trainer drives both identically because
-// Step fully drains its asynchronous collectives before returning, keeping
-// the global collective order deterministic across ranks.
+// The K-FAC Step fully drains its asynchronous collectives (the fused
+// factor allreduce chunks) before returning, keeping the global collective
+// order deterministic across ranks.
 package trainer
 
 import (
