@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sort"
 	"time"
 
 	"repro/internal/comm"
@@ -28,8 +29,9 @@ func init() {
 // runAutotune trains the same 2-rank K-FAC configuration under
 // progressively tighter injected bandwidth caps and reports mean
 // optimizer-step wall time for a static exact-transmission configuration
-// next to the bandwidth-adaptive one. On a healthy link the autotuner
-// stays at the exact level, so the columns track each other; as the cap
+// next to the bandwidth-adaptive one (each the median of three
+// interleaved runs). On a healthy link the autotuner stays at the exact
+// level, so the columns track each other; as the cap
 // tightens, the consensus bandwidth estimate drops through the policy
 // table's bands and the tuned run switches to compressed payloads, so its
 // step time must degrade no faster than the static run's at every cap
@@ -97,14 +99,20 @@ func runAutotune(ctx context.Context, w io.Writer, cfg Config) error {
 	fmt.Fprintf(w, "%-14s  %15s  %15s  %10s  %s\n",
 		"bandwidth cap", "static ms/step", "tuned ms/step", "speedup", "final level")
 	for _, capBps := range caps {
-		staticMS, _, err := runOne(false, capBps)
-		if err != nil {
-			return err
+		// Each column is the median of three runs, interleaved so that any
+		// drift in machine load hits both columns alike.
+		var static, tuned [3]float64
+		var level string
+		for i := range static {
+			var err error
+			if static[i], _, err = runOne(false, capBps); err != nil {
+				return err
+			}
+			if tuned[i], level, err = runOne(true, capBps); err != nil {
+				return err
+			}
 		}
-		tunedMS, level, err := runOne(true, capBps)
-		if err != nil {
-			return err
-		}
+		staticMS, tunedMS := median3(static), median3(tuned)
 		fmt.Fprintf(w, "%-14s  %15.2f  %15.2f  %9.2fx  %s\n",
 			bwLabel(capBps), staticMS, tunedMS, staticMS/tunedMS, level)
 		// The acceptance bound: tuned never degrades meaningfully past
@@ -118,6 +126,12 @@ func runAutotune(ctx context.Context, w io.Writer, cfg Config) error {
 	}
 	fmt.Fprintln(w, "shape check: tuned ≤ static at every cap; tight caps land on compressed levels")
 	return nil
+}
+
+// median3 returns the median of three values.
+func median3(v [3]float64) float64 {
+	sort.Float64s(v[:])
+	return v[1]
 }
 
 // bwLabel formats a bandwidth cap for the curve's row labels.

@@ -12,8 +12,8 @@ import "repro/internal/comm"
 // options overriding earlier ones; the paper defaults of Options.fillDefaults
 // fill whatever remains unset. The Options struct is kept as the resolved
 // form — Build materializes an option list into one, and NewFromOptions
-// constructs a preconditioner directly from a resolved struct (the trainer's
-// Config path and tests use it).
+// constructs a preconditioner directly from a resolved struct (the trainer
+// and the benchmark harness use it).
 type Option func(*Options)
 
 // Build resolves an option list into the Options struct form. Zero-valued
@@ -25,10 +25,6 @@ func Build(opts ...Option) Options {
 	}
 	return o
 }
-
-// WithOptions merges a pre-resolved Options struct wholesale; combine it
-// with later options to tweak individual fields of a shared base.
-func WithOptions(o Options) Option { return func(dst *Options) { *dst = o } }
 
 // WithMode selects how (F̂+γI)⁻¹ is applied (default EigenMode).
 func WithMode(m Mode) Option { return func(o *Options) { o.Mode = m } }

@@ -54,18 +54,6 @@ func TestDistributionOptions(t *testing.T) {
 	}
 }
 
-// WithOptions seeds from a resolved struct; later options override fields.
-func TestWithOptionsBaseAndOverride(t *testing.T) {
-	base := Options{Damping: 0.01, InvUpdateFreq: 50, Strategy: LayerWise}
-	o := Build(WithOptions(base), WithDamping(0.002))
-	if o.Damping != 0.002 {
-		t.Errorf("override lost: damping = %v", o.Damping)
-	}
-	if o.InvUpdateFreq != 50 || o.Strategy != LayerWise {
-		t.Errorf("base lost: %+v", o)
-	}
-}
-
 // New with no options must behave exactly like NewFromOptions with a zero
 // struct: the paper defaults.
 func TestNewAppliesPaperDefaults(t *testing.T) {

@@ -69,10 +69,10 @@ type LayerPlan struct {
 
 // Plan is a resolved distribution assignment: for every Kronecker factor an
 // owner rank, and for every layer a gradient-worker set, built once per
-// (strategy, mode, world) by the strategy's Planner and consumed uniformly
-// by Step. Every rank builds the identical Plan from shared
-// state, so no communication is needed to agree on it (Algorithm 1,
-// line 9); elastic recovery re-plans by rebuilding it for the new world.
+// (strategy, mode, world) by Assign and consumed uniformly by Step. Every
+// rank builds the identical Plan from shared state, so no communication is
+// needed to agree on it (Algorithm 1, line 9); elastic recovery re-plans by
+// rebuilding it for the new world.
 type Plan struct {
 	// Strategy is the placement policy the owners came from.
 	Strategy Strategy
@@ -122,11 +122,11 @@ func ResolveDistMode(mode DistMode, strategy Strategy) DistMode {
 	return CommOpt
 }
 
-// BuildPlan resolves a distribution plan: owners from the strategy's
-// registered Planner, gradient-worker sets from the mode (frac is consulted
-// only under Hybrid). refs must be in placement order (FactorRefs). The
-// result is a deterministic pure function of the arguments — identical on
-// every rank, and across repeated calls.
+// BuildPlan resolves a distribution plan: owners from Assign under the
+// strategy, gradient-worker sets from the mode (frac is consulted only
+// under Hybrid). refs must be in placement order (FactorRefs). The result
+// is a deterministic pure function of the arguments — identical on every
+// rank, and across repeated calls.
 func BuildPlan(strategy Strategy, mode DistMode, frac float64, refs []FactorRef, world int) *Plan {
 	if world < 1 {
 		world = 1
@@ -237,6 +237,6 @@ func (p *Plan) DecompElemsPerRank(refs []FactorRef) []int64 {
 // String summarizes the plan for logs and CLI banners.
 func (p *Plan) String() string {
 	return fmt.Sprintf("%s/%s: %d layers over %d ranks, %d gradient worker(s)/layer (f=%.2f)",
-		PlannerFor(p.Strategy).Name(), p.Mode, len(p.Layers), p.World,
+		p.Strategy, p.Mode, len(p.Layers), p.World,
 		p.GradWorkersPerLayer(), p.GradWorkerFrac)
 }

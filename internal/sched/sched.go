@@ -1,10 +1,10 @@
 // Package sched provides the concurrency primitives the compute kernels and
-// the K-FAC eig scheduler are built from: a bounded worker Pool for
-// CPU-bound tasks (with a zero-allocation ForEach range dispatch) and an
+// the K-FAC eig scheduler are built from: the shared worker Pool, whose only
+// entry point is the zero-allocation ForEach range dispatch, and an
 // error-collecting Group for goroutines that may block.
 //
 // The split matters for deadlock freedom: Pool workers must never block on
-// other tasks (they run leaf compute), while Group goroutines are unbounded
+// other work (they run leaf compute), while Group goroutines are unbounded
 // and may block on channels, semaphores, or collective handles.
 package sched
 
@@ -13,30 +13,20 @@ import (
 	"sync"
 )
 
-// Pool is a bounded worker pool for CPU-bound tasks. Submitted functions are
-// executed by at most `workers` goroutines; Submit never blocks the caller.
+// Pool is a fixed set of worker goroutines that run ForEach range chunks.
+// The process has one, returned by Shared.
 type Pool struct {
-	tasks chan func()
 	rjobs chan rangeJob
-	wg    sync.WaitGroup // tracks in-flight + queued tasks
-
-	mu      sync.Mutex
-	closed  bool
-	workers int
 }
 
-// NewPool creates a pool with the given concurrency; workers <= 0 selects
-// runtime.GOMAXPROCS(0).
-func NewPool(workers int) *Pool {
+// newPool starts a pool with the given concurrency; workers <= 0 selects
+// runtime.GOMAXPROCS(0). The workers live for the rest of the process.
+func newPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{
-		// Buffer a healthy queue so producers rarely need the overflow path.
-		tasks:   make(chan func(), 4*workers),
-		rjobs:   make(chan rangeJob, 4*workers),
-		workers: workers,
-	}
+	// Buffer a healthy queue so callers rarely need the inline path.
+	p := &Pool{rjobs: make(chan rangeJob, 4*workers)}
 	for i := 0; i < workers; i++ {
 		go p.worker()
 	}
@@ -44,19 +34,9 @@ func NewPool(workers int) *Pool {
 }
 
 func (p *Pool) worker() {
-	for {
-		select {
-		case fn, ok := <-p.tasks:
-			if !ok {
-				return
-			}
-			fn()
-			p.wg.Done()
-		case rj := <-p.rjobs:
-			rj.r.RunRange(rj.lo, rj.hi)
-			rj.done.Done()
-			p.wg.Done()
-		}
+	for rj := range p.rjobs {
+		rj.r.RunRange(rj.lo, rj.hi)
+		rj.done.Done()
 	}
 }
 
@@ -82,9 +62,9 @@ type rangeJob struct {
 // ForEach never spawns goroutines and never allocates — the property the
 // zero-allocation tensor kernels rely on.
 //
-// Like all pool tasks, ranges must be pure leaf compute: a RunRange that
-// itself called ForEach on the same pool could leave every worker blocked
-// waiting for chunks nobody can run.
+// Ranges must be pure leaf compute: a RunRange that itself called ForEach
+// on the same pool could leave every worker blocked waiting for chunks
+// nobody can run.
 func (p *Pool) ForEach(m, nchunks int, r Ranger, done *sync.WaitGroup) {
 	if m <= 0 {
 		return
@@ -103,58 +83,15 @@ func (p *Pool) ForEach(m, nchunks int, r Ranger, done *sync.WaitGroup) {
 			hi = m
 		}
 		done.Add(1)
-		p.wg.Add(1)
 		select {
 		case p.rjobs <- rangeJob{r: r, lo: lo, hi: hi, done: done}:
 		default:
 			// Queue full: run inline rather than block or spawn.
 			r.RunRange(lo, hi)
 			done.Done()
-			p.wg.Done()
 		}
 	}
 	done.Wait()
-}
-
-// Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
-
-// Submit enqueues fn for execution. It never blocks: when the queue is full
-// the task is handed to a transient goroutine that feeds it into the queue,
-// preserving the concurrency bound while keeping producers (e.g. collective
-// issuers that must maintain SPMD ordering) free-running. Submitting to a
-// closed pool panics, as sending on a closed channel would.
-func (p *Pool) Submit(fn func()) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		panic("sched: Submit on closed Pool")
-	}
-	p.wg.Add(1)
-	select {
-	case p.tasks <- fn:
-		p.mu.Unlock()
-	default:
-		p.mu.Unlock()
-		go func() { p.tasks <- fn }()
-	}
-}
-
-// Wait blocks until every task submitted so far has finished.
-func (p *Pool) Wait() { p.wg.Wait() }
-
-// Close waits for outstanding tasks and stops the workers. The pool cannot
-// be reused afterwards. Close is idempotent.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	p.mu.Unlock()
-	p.wg.Wait()
-	close(p.tasks)
 }
 
 var (
@@ -166,12 +103,10 @@ var (
 // linear-algebra kernels in internal/tensor and internal/linalg. It is
 // created on first use with GOMAXPROCS workers and is never closed.
 //
-// Tasks submitted to the shared pool must be pure leaf compute: they must
-// not themselves submit to (and wait on) the shared pool, or a full queue
-// could leave every worker blocked waiting for subtasks that can no longer
-// be scheduled. Blocking work belongs on a Group or a dedicated Pool.
+// Ranges run on the shared pool must be pure leaf compute (see ForEach).
+// Blocking work belongs on a Group.
 func Shared() *Pool {
-	sharedOnce.Do(func() { sharedPool = NewPool(0) })
+	sharedOnce.Do(func() { sharedPool = newPool(0) })
 	return sharedPool
 }
 

@@ -25,7 +25,6 @@ var (
 	axpy32Impl   = axpy32Scalar
 	dotAcc32Impl = dotAcc32Scalar
 	foldAccImpl  = foldAccScalar
-	rot32Impl    = rot32Scalar
 	widenImpl    = widenScalar
 	narrowImpl   = narrowScalar
 
@@ -73,17 +72,6 @@ func FoldAcc32(acc []float64, src []float32) {
 		panic("tensor: FoldAcc32 length mismatch")
 	}
 	foldAccImpl(acc, src)
-}
-
-// Rot32 applies the plane rotation (x, y) ← (c·x − s·y, s·x + c·y)
-// elementwise — the vectorized row update of the float32 Jacobi
-// eigendecomposition sweeps. Slices must have equal length and must not
-// overlap.
-func Rot32(x, y []float32, c, s float32) {
-	if len(x) != len(y) {
-		panic("tensor: Rot32 length mismatch")
-	}
-	rot32Impl(x, y, c, s)
 }
 
 // Widen overwrites dst with src converted to float64. Slices must have
@@ -143,15 +131,6 @@ func dotAcc32Scalar(a, b []float32) float64 {
 func foldAccScalar(acc []float64, src []float32) {
 	for i, v := range src {
 		acc[i] += float64(v)
-	}
-}
-
-// rot32Scalar is the portable plane rotation.
-func rot32Scalar(x, y []float32, c, s float32) {
-	for i := range x {
-		xi, yi := x[i], y[i]
-		x[i] = c*xi - s*yi
-		y[i] = s*xi + c*yi
 	}
 }
 

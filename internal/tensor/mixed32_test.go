@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/testenv"
 )
 
 // randT32 returns a shape-sized float32 tensor with entries drawn uniformly
@@ -138,18 +140,6 @@ func TestKernelPrimitivesMatchScalarOracle(t *testing.T) {
 			}
 		}
 
-		// Rot32 vs scalar.
-		x1, y1 := append([]float32(nil), x...), append([]float32(nil), y...)
-		x2, y2 := append([]float32(nil), x...), append([]float32(nil), y...)
-		c, s := float32(0.8), float32(0.6)
-		Rot32(x1, y1, c, s)
-		rot32Scalar(x2, y2, c, s)
-		for i := range x1 {
-			if math.Abs(float64(x1[i]-x2[i])) > 4*eps32 || math.Abs(float64(y1[i]-y2[i])) > 4*eps32 {
-				t.Fatalf("Rot32 n=%d i=%d: (%v,%v) vs (%v,%v)", n, i, x1[i], y1[i], x2[i], y2[i])
-			}
-		}
-
 		// Widen and Narrow are exact conversions: bit-equality required.
 		w1 := make([]float64, n)
 		w2 := make([]float64, n)
@@ -245,7 +235,7 @@ func TestMatMul32ZeroAllocSteadyState(t *testing.T) {
 		MatMulInto32(dst, a, b)
 		MatMulT1Into32(dst, b, b)
 		MatMulT2Into32(dst, a, bT)
-	}); allocs != 0 {
+	}); allocs != 0 && !testenv.RaceEnabled {
 		t.Fatalf("float32 matmul kernels allocate %v times per step", allocs)
 	}
 }

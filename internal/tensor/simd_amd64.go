@@ -17,9 +17,6 @@ func dotAcc32AVX(a, b []float32) float64
 func foldAccAVX(acc []float64, src []float32)
 
 //go:noescape
-func rot32AVX(x, y []float32, c, s float32)
-
-//go:noescape
 func widenAVX(dst []float64, src []float32)
 
 //go:noescape
@@ -31,10 +28,12 @@ func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads extended control register 0 (the enabled XSAVE state mask).
 func xgetbv0() (eax, edx uint32)
 
-// cpuHasAVX2FMA reports whether the CPU supports AVX2 and FMA and the OS
+// HasAVX2FMA reports whether the CPU supports AVX2 and FMA and the OS
 // has enabled YMM state saving (OSXSAVE + XCR0 bits 1–2) — the full
-// precondition for the kernels in simd_amd64.s.
-func cpuHasAVX2FMA() bool {
+// precondition for the kernels in simd_amd64.s. It is the one CPU-feature
+// probe of the module: internal/linalg's float64 eig kernels dispatch on it
+// too. It exists only in amd64 builds without the purego tag.
+func HasAVX2FMA() bool {
 	maxID, _, _, _ := cpuidRaw(0, 0)
 	if maxID < 7 {
 		return false
@@ -59,11 +58,10 @@ func cpuHasAVX2FMA() bool {
 }
 
 func init() {
-	if cpuHasAVX2FMA() {
+	if HasAVX2FMA() {
 		axpy32Impl = axpy32AVX
 		dotAcc32Impl = dotAcc32AVX
 		foldAccImpl = foldAccAVX
-		rot32Impl = rot32AVX
 		widenImpl = widenAVX
 		narrowImpl = narrowAVX
 		kernelISA = "avx2+fma"

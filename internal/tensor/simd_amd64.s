@@ -145,50 +145,6 @@ fold_done:
 	VZEROUPPER
 	RET
 
-// func rot32AVX(x, y []float32, c, s float32)
-// Plane rotation: x' = c*x − s*y; y' = s*x + c*y, 8 lanes per iteration.
-TEXT ·rot32AVX(SB), NOSPLIT, $0-56
-	MOVQ x_base+0(FP), DI
-	MOVQ x_len+8(FP), CX
-	MOVQ y_base+24(FP), SI
-	VBROADCASTSS c+48(FP), Y0
-	VBROADCASTSS s+52(FP), Y1
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-
-rot_loop8:
-	CMPQ AX, DX
-	JGE  rot_tail
-	VMOVUPS      (DI)(AX*4), Y2
-	VMOVUPS      (SI)(AX*4), Y3
-	VMULPS       Y2, Y0, Y4   // c*x
-	VFNMADD231PS Y3, Y1, Y4   // c*x − s*y
-	VMULPS       Y3, Y0, Y5   // c*y
-	VFMADD231PS  Y2, Y1, Y5   // s*x + c*y
-	VMOVUPS      Y4, (DI)(AX*4)
-	VMOVUPS      Y5, (SI)(AX*4)
-	ADDQ $8, AX
-	JMP  rot_loop8
-
-rot_tail:
-	CMPQ AX, CX
-	JGE  rot_done
-	VMOVSS       (DI)(AX*4), X2
-	VMOVSS       (SI)(AX*4), X3
-	VMULSS       X2, X0, X4
-	VFNMADD231SS X3, X1, X4
-	VMULSS       X3, X0, X5
-	VFMADD231SS  X2, X1, X5
-	VMOVSS       X4, (DI)(AX*4)
-	VMOVSS       X5, (SI)(AX*4)
-	INCQ AX
-	JMP  rot_tail
-
-rot_done:
-	VZEROUPPER
-	RET
-
 // func widenAVX(dst []float64, src []float32)
 // dst = widen(src), 4 elements per iteration.
 TEXT ·widenAVX(SB), NOSPLIT, $0-48

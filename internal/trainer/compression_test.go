@@ -15,13 +15,11 @@ import (
 func runCompressedWorld2(t *testing.T, codec comm.Codec, bare bool, epochs int) float64 {
 	t.Helper()
 	train, test := tinyDataset(t)
-	cfg := baseConfig()
-	cfg.Epochs = epochs
-	cfg.KFAC = &kfac.Options{
-		FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01,
-		Compression: codec, NoErrorFeedback: bare,
-	}
-	results, err := RunDistributed(2, buildTestNet, train, test, cfg)
+	results, err := runWorld(2, train, test, WithEpochs(epochs),
+		WithKFACOptions(kfac.Options{
+			FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01,
+			Compression: codec, NoErrorFeedback: bare,
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}

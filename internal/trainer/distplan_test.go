@@ -14,14 +14,11 @@ func TestDistModesTrainBitIdentically(t *testing.T) {
 	train, test := tinyDataset(t)
 	const world = 4
 	run := func(mode kfac.DistMode, frac float64) []*Result {
-		cfg := baseConfig()
-		cfg.Epochs = 2
-		cfg.BatchPerRank = 8
-		cfg.KFAC = &kfac.Options{
-			FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01,
-			DistMode: mode, GradWorkerFrac: frac,
-		}
-		results, err := RunDistributed(world, buildTestNet, train, test, cfg)
+		results, err := runWorld(world, train, test, WithEpochs(2), WithBatchPerRank(8),
+			WithKFACOptions(kfac.Options{
+				FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01,
+				DistMode: mode, GradWorkerFrac: frac,
+			}))
 		if err != nil {
 			t.Fatalf("%v f=%v: %v", mode, frac, err)
 		}
@@ -56,13 +53,10 @@ func TestDistModesTrainBitIdentically(t *testing.T) {
 // (leader-broadcast) trajectory.
 func TestGroupedGradientExchangeTrains(t *testing.T) {
 	train, test := tinyDataset(t)
-	cfg := baseConfig()
-	cfg.Epochs = 2
-	cfg.BatchPerRank = 8
-	cfg.KFAC = &kfac.Options{
-		FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01, GroupSize: 2,
-	}
-	results, err := RunDistributed(4, buildTestNet, train, test, cfg)
+	results, err := runWorld(4, train, test, WithEpochs(2), WithBatchPerRank(8),
+		WithKFACOptions(kfac.Options{
+			FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01, GroupSize: 2,
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}

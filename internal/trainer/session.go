@@ -82,16 +82,15 @@ type (
 // it with NewSession and functional options, register hooks, then call Run.
 // The zero value is not usable.
 //
-// A Session generalizes the deprecated TrainRank entry point: the paper's
-// Listing 1 loop (synchronize → precondition → step) is the fixed skeleton,
-// and everything scenario-specific — optimizer, K-FAC preconditioning,
-// schedules, logging, early stopping, checkpointing, observation — attaches
-// through options and typed hooks.
+// The paper's Listing 1 loop (synchronize → precondition → step) is the
+// fixed skeleton, and everything scenario-specific — optimizer, K-FAC
+// preconditioning, schedules, logging, early stopping, checkpointing,
+// observation — attaches through options and typed hooks.
 type Session struct {
 	net         *nn.Sequential
 	comm        *comm.Communicator
 	train, test *data.Dataset
-	cfg         Config // resolved option form (kept internal, like kfac.Options)
+	cfg         config // resolved option form
 
 	buildOpt   func(params []*nn.Param, initialLR float64) optim.Optimizer
 	epochHooks []EpochHook
@@ -152,7 +151,7 @@ func WithKFAC(opts ...kfac.Option) SessionOption {
 }
 
 // WithKFACOptions enables K-FAC preconditioning from a resolved options
-// struct — the form trainer.Config carries.
+// struct (see kfac.Build).
 func WithKFACOptions(o kfac.Options) SessionOption {
 	return func(s *Session) { s.cfg.KFAC = &o }
 }
@@ -598,11 +597,10 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 
 // RunSessions builds one session per rank over an in-process fabric and
 // runs them in parallel under a shared context, returning every rank's
-// Result — the Session-API counterpart of RunDistributed. buildNet is
-// called once per rank with a rank-independent seed so replicas start
-// identical (the initial broadcast enforces it regardless). The shared
-// context satisfies the cancellation contract's requirement that every
-// rank agree on cancellability.
+// Result. buildNet is called once per rank with a rank-independent seed so
+// replicas start identical (the initial broadcast enforces it regardless).
+// The shared context satisfies the cancellation contract's requirement
+// that every rank agree on cancellability.
 func RunSessions(ctx context.Context, world int, buildNet func(rng *rand.Rand) *nn.Sequential,
 	train, test *data.Dataset, opts ...SessionOption) ([]*Result, error) {
 	if world < 1 {

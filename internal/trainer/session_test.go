@@ -16,24 +16,17 @@ import (
 	"repro/internal/optim"
 )
 
-// sessionOpts are the session-API equivalent of baseConfig.
-func sessionOpts() []SessionOption {
-	return []SessionOption{
-		WithEpochs(3),
-		WithBatchPerRank(16),
-		WithLRSchedule(optim.LRSchedule{BaseLR: 0.05, WarmupEpochs: 1}),
-		WithMomentum(0.9),
-		WithSeed(5),
-	}
-}
-
-func TestSessionRunMatchesLegacyTrainRankBitIdentical(t *testing.T) {
+// A run under a cancellable (but never cancelled) context issues the
+// per-iteration cancellation consensus; it must not perturb numerics
+// relative to a context.Background run. The two sides also configure
+// K-FAC through the two option forms (functional options vs a resolved
+// kfac.Options), which must agree.
+func TestSessionCancellableRunMatchesBackgroundBitIdentical(t *testing.T) {
 	train, test := tinyDataset(t)
 
-	legacyNet := buildTestNet(rand.New(rand.NewSource(1)))
-	cfg := baseConfig()
-	cfg.KFAC = &kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01}
-	legacy, err := TrainRank(legacyNet, nil, train, test, cfg)
+	bgNet := buildTestNet(rand.New(rand.NewSource(1)))
+	bg, err := runRank(bgNet, nil, train, test,
+		WithKFACOptions(kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +37,6 @@ func TestSessionRunMatchesLegacyTrainRankBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run under a cancellable (but never cancelled) context so the
-	// cancellation machinery is active and must not perturb numerics.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	res, err := s.Run(ctx)
@@ -53,49 +44,46 @@ func TestSessionRunMatchesLegacyTrainRankBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if res.Iterations != legacy.Iterations {
-		t.Fatalf("iterations %d != legacy %d", res.Iterations, legacy.Iterations)
+	if res.Iterations != bg.Iterations {
+		t.Fatalf("iterations %d != background run's %d", res.Iterations, bg.Iterations)
 	}
-	if len(res.History) != len(legacy.History) {
-		t.Fatalf("history length %d != legacy %d", len(res.History), len(legacy.History))
+	if len(res.History) != len(bg.History) {
+		t.Fatalf("history length %d != background run's %d", len(res.History), len(bg.History))
 	}
 	for i := range res.History {
-		a, b := res.History[i], legacy.History[i]
+		a, b := res.History[i], bg.History[i]
 		if a.LR != b.LR || a.TrainLoss != b.TrainLoss || a.TrainAcc != b.TrainAcc ||
 			a.ValAcc != b.ValAcc || a.ValTop5 != b.ValTop5 {
-			t.Errorf("epoch %d diverged:\n session %+v\n legacy  %+v", i, a, b)
+			t.Errorf("epoch %d diverged:\n cancellable %+v\n background  %+v", i, a, b)
 		}
 	}
 	// The trained parameters must agree bit for bit as well.
-	lp, sp := legacyNet.Params(), sessNet.Params()
-	for i := range lp {
-		if !lp[i].Value.Equal(sp[i].Value, 0) {
-			t.Fatalf("parameter %s diverged between session and legacy paths", lp[i].Name)
+	bp, sp := bgNet.Params(), sessNet.Params()
+	for i := range bp {
+		if !bp[i].Value.Equal(sp[i].Value, 0) {
+			t.Fatalf("parameter %s diverged between cancellable and background runs", bp[i].Name)
 		}
 	}
 }
 
-func TestRunSessionsMatchesRunDistributed(t *testing.T) {
+// The multi-rank form of the same contract: RunSessions under a
+// cancellable context matches a context.Background run on every rank.
+func TestRunSessionsCancellableMatchesBackground(t *testing.T) {
 	train, test := tinyDataset(t)
-	cfg := baseConfig()
-	cfg.Epochs = 2
-	cfg.BatchPerRank = 8
-	legacy, err := RunDistributed(2, buildTestNet, train, test, cfg)
+	bg, err := runWorld(2, train, test, WithEpochs(2), WithBatchPerRank(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	res, err := RunSessions(ctx, 2, buildTestNet, train, test,
-		WithEpochs(2), WithBatchPerRank(8),
-		WithLRSchedule(optim.LRSchedule{BaseLR: 0.05, WarmupEpochs: 1}),
-		WithMomentum(0.9), WithSeed(5))
+		append(sessionOpts(), WithEpochs(2), WithBatchPerRank(8))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := range res {
 		for i := range res[r].History {
-			a, b := res[r].History[i], legacy[r].History[i]
+			a, b := res[r].History[i], bg[r].History[i]
 			if a.TrainLoss != b.TrainLoss || a.ValAcc != b.ValAcc {
 				t.Errorf("rank %d epoch %d diverged: %+v vs %+v", r, i, a, b)
 			}

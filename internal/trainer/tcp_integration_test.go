@@ -30,10 +30,6 @@ func TestTCPDistributedKFACTraining(t *testing.T) {
 		ln.Close()
 	}
 	train, test := tinyDataset(t)
-	cfg := baseConfig()
-	cfg.Epochs = 1
-	cfg.BatchPerRank = 8
-	cfg.KFAC = &kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 1e-2}
 
 	var wg sync.WaitGroup
 	accs := make([]float64, world)
@@ -49,7 +45,9 @@ func TestTCPDistributedKFACTraining(t *testing.T) {
 			}
 			defer fab.Close()
 			net := buildTestNet(rand.New(rand.NewSource(1)))
-			res, err := TrainRank(net, comm.NewCommunicator(fab), train, test, cfg)
+			res, err := runRank(net, comm.NewCommunicator(fab), train, test,
+				WithEpochs(1), WithBatchPerRank(8),
+				WithKFACOptions(kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 1e-2}))
 			if err != nil {
 				errs[r] = err
 				return

@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -12,10 +13,8 @@ import (
 func TestStopAtValAccEndsEarly(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(1)))
-	cfg := baseConfig()
-	cfg.Epochs = 50
-	cfg.StopAtValAcc = 0.30 // above chance; reached within a few epochs
-	res, err := TrainRank(net, nil, train, test, cfg)
+	// 0.30 is above chance and reached within a few epochs.
+	res, err := runRank(net, nil, train, test, WithEpochs(50), WithStopAtValAcc(0.30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,9 +32,7 @@ func TestStopAtValAccEndsEarly(t *testing.T) {
 func TestEpochWallTimesRecorded(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(2)))
-	cfg := baseConfig()
-	cfg.Epochs = 2
-	res, err := TrainRank(net, nil, train, test, cfg)
+	res, err := runRank(net, nil, train, test, WithEpochs(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +49,7 @@ func TestEpochWallTimesRecorded(t *testing.T) {
 func TestTrackTop5(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(3)))
-	cfg := baseConfig()
-	cfg.Epochs = 1
-	cfg.TrackTop5 = true
-	res, err := TrainRank(net, nil, train, test, cfg)
+	res, err := runRank(net, nil, train, test, WithEpochs(1), WithTop5())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +67,8 @@ func TestTrackTop5(t *testing.T) {
 func TestKFACStatsExposed(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(4)))
-	cfg := baseConfig()
-	cfg.Epochs = 1
-	cfg.KFAC = &kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4}
-	res, err := TrainRank(net, nil, train, test, cfg)
+	res, err := runRank(net, nil, train, test, WithEpochs(1),
+		WithKFACOptions(kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +87,7 @@ func TestKFACStatsExposed(t *testing.T) {
 func TestSGDRunHasNoKFACStats(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(5)))
-	cfg := baseConfig()
-	cfg.Epochs = 1
-	res, err := TrainRank(net, nil, train, test, cfg)
+	res, err := runRank(net, nil, train, test, WithEpochs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +99,8 @@ func TestSGDRunHasNoKFACStats(t *testing.T) {
 func TestGradientAccumulation(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(6)))
-	cfg := baseConfig()
-	cfg.Epochs = 2
-	cfg.BatchPerRank = 8
-	cfg.AccumSteps = 4 // effective batch 32
-	res, err := TrainRank(net, nil, train, test, cfg)
+	res, err := runRank(net, nil, train, test, WithEpochs(2), WithBatchPerRank(8),
+		WithAccumSteps(4)) // effective batch 32
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +131,12 @@ func TestGradientAccumulationMatchesLargeBatchLoss(t *testing.T) {
 	}
 	run := func(batch, accum int) *nn.Sequential {
 		net := buildNoBN(7)
-		cfg := Config{
-			Epochs:       1,
-			BatchPerRank: batch,
-			AccumSteps:   accum,
-			LR:           optim.LRSchedule{BaseLR: 0.1},
-			Seed:         9,
+		s, err := NewSession(net, nil, train, test, WithEpochs(1), WithBatchPerRank(batch),
+			WithAccumSteps(accum), WithLRSchedule(optim.LRSchedule{BaseLR: 0.1}), WithSeed(9))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := TrainRank(net, nil, train, test, cfg); err != nil {
+		if _, err := s.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return net

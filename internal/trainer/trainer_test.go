@@ -1,9 +1,11 @@
 package trainer
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/kfac"
 	"repro/internal/models"
@@ -27,34 +29,52 @@ func buildTestNet(rng *rand.Rand) *nn.Sequential {
 	return models.BuildSmallCNN(1, 4, 4, rng)
 }
 
-func baseConfig() Config {
-	return Config{
-		Epochs:       3,
-		BatchPerRank: 16,
-		LR:           optim.LRSchedule{BaseLR: 0.05, WarmupEpochs: 1},
-		Momentum:     0.9,
-		Seed:         5,
+// sessionOpts are the options every trainer test starts from: 3 epochs of
+// batch-16 SGD with momentum. Tests append overrides (the last option wins).
+func sessionOpts() []SessionOption {
+	return []SessionOption{
+		WithEpochs(3),
+		WithBatchPerRank(16),
+		WithLRSchedule(optim.LRSchedule{BaseLR: 0.05, WarmupEpochs: 1}),
+		WithMomentum(0.9),
+		WithSeed(5),
 	}
+}
+
+// runRank trains net on this rank's shards with sessionOpts plus extra.
+func runRank(net *nn.Sequential, c *comm.Communicator, train, test *data.Dataset, extra ...SessionOption) (*Result, error) {
+	s, err := NewSession(net, c, train, test, append(sessionOpts(), extra...)...)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(context.Background())
+}
+
+// runWorld trains world in-process replicas of buildTestNet with
+// sessionOpts plus extra.
+func runWorld(world int, train, test *data.Dataset, extra ...SessionOption) ([]*Result, error) {
+	return RunSessions(context.Background(), world, buildTestNet, train, test,
+		append(sessionOpts(), extra...)...)
 }
 
 func TestSingleProcessSGDTrains(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(1)))
-	cfg := baseConfig()
-	res, err := TrainRank(net, nil, train, test, cfg)
+	const epochs, batch = 3, 16 // sessionOpts
+	res, err := runRank(net, nil, train, test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.History) != cfg.Epochs {
+	if len(res.History) != epochs {
 		t.Fatalf("history length = %d", len(res.History))
 	}
-	if res.Iterations != cfg.Epochs*(train.Len()/cfg.BatchPerRank) {
+	if res.Iterations != epochs*(train.Len()/batch) {
 		t.Errorf("iterations = %d", res.Iterations)
 	}
 	// Loss should drop from epoch 0 to the last epoch.
-	if res.History[cfg.Epochs-1].TrainLoss >= res.History[0].TrainLoss {
+	if res.History[epochs-1].TrainLoss >= res.History[0].TrainLoss {
 		t.Errorf("loss did not decrease: %v → %v",
-			res.History[0].TrainLoss, res.History[cfg.Epochs-1].TrainLoss)
+			res.History[0].TrainLoss, res.History[epochs-1].TrainLoss)
 	}
 	// Better than chance (0.25) on validation.
 	if res.FinalValAcc <= 0.3 {
@@ -65,9 +85,8 @@ func TestSingleProcessSGDTrains(t *testing.T) {
 func TestSingleProcessKFACTrains(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(1)))
-	cfg := baseConfig()
-	cfg.KFAC = &kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01}
-	res, err := TrainRank(net, nil, train, test, cfg)
+	res, err := runRank(net, nil, train, test,
+		WithKFACOptions(kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +107,7 @@ func TestDistributedMatchesSingleWithSameGlobalBatch(t *testing.T) {
 	// averaged gradient is permutation invariant, so losses should agree
 	// closely). We verify the distributed run trains and all ranks agree.
 	train, test := tinyDataset(t)
-	cfg := baseConfig()
-	cfg.Epochs = 2
-	cfg.BatchPerRank = 8
-	results, err := RunDistributed(2, buildTestNet, train, test, cfg)
+	results, err := runWorld(2, train, test, WithEpochs(2), WithBatchPerRank(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +122,8 @@ func TestDistributedMatchesSingleWithSameGlobalBatch(t *testing.T) {
 
 func TestDistributedKFACConsistentAcrossRanks(t *testing.T) {
 	train, test := tinyDataset(t)
-	cfg := baseConfig()
-	cfg.Epochs = 2
-	cfg.BatchPerRank = 8
-	cfg.KFAC = &kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01}
-	results, err := RunDistributed(2, buildTestNet, train, test, cfg)
+	results, err := runWorld(2, train, test, WithEpochs(2), WithBatchPerRank(8),
+		WithKFACOptions(kfac.Options{FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +135,10 @@ func TestDistributedKFACConsistentAcrossRanks(t *testing.T) {
 
 func TestDistributedKFACLayerWise(t *testing.T) {
 	train, test := tinyDataset(t)
-	cfg := baseConfig()
-	cfg.Epochs = 1
-	cfg.BatchPerRank = 8
-	cfg.KFAC = &kfac.Options{
-		Strategy: kfac.LayerWise, FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01,
-	}
-	results, err := RunDistributed(3, buildTestNet, train, test, cfg)
+	results, err := runWorld(3, train, test, WithEpochs(1), WithBatchPerRank(8),
+		WithKFACOptions(kfac.Options{
+			Strategy: kfac.LayerWise, FactorUpdateFreq: 2, InvUpdateFreq: 4, Damping: 0.01,
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +150,11 @@ func TestDistributedKFACLayerWise(t *testing.T) {
 func TestSchedulesApplied(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(2)))
-	cfg := baseConfig()
-	cfg.Epochs = 2
-	cfg.KFAC = &kfac.Options{FactorUpdateFreq: 1, InvUpdateFreq: 1}
-	cfg.DampingSchedule = &kfac.ParamSchedule{Initial: 0.01, DecayEpochs: []int{1}, Factor: 0.5}
-	cfg.FreqSchedule = &kfac.ParamSchedule{Initial: 2, DecayEpochs: []int{1}, Factor: 2} // grows to 4
-	res, err := TrainRank(net, nil, train, test, cfg)
+	lr := optim.LRSchedule{BaseLR: 0.05, WarmupEpochs: 1}
+	res, err := runRank(net, nil, train, test, WithEpochs(2), WithLRSchedule(lr),
+		WithKFACOptions(kfac.Options{FactorUpdateFreq: 1, InvUpdateFreq: 1}),
+		WithDampingSchedule(&kfac.ParamSchedule{Initial: 0.01, DecayEpochs: []int{1}, Factor: 0.5}),
+		WithFreqSchedule(&kfac.ParamSchedule{Initial: 2, DecayEpochs: []int{1}, Factor: 2})) // grows to 4
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +162,7 @@ func TestSchedulesApplied(t *testing.T) {
 		t.Fatal("wrong history length")
 	}
 	// LR schedule honored in history.
-	if res.History[0].LR != cfg.LR.At(0) || res.History[1].LR != cfg.LR.At(1) {
+	if res.History[0].LR != lr.At(0) || res.History[1].LR != lr.At(1) {
 		t.Error("LR schedule not recorded")
 	}
 }
@@ -188,10 +197,10 @@ func TestEvaluateSharded(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	train, test := tinyDataset(t)
 	net := buildTestNet(rand.New(rand.NewSource(4)))
-	if _, err := TrainRank(net, nil, train, test, Config{}); err == nil {
+	if _, err := NewSession(net, nil, train, test); err == nil {
 		t.Error("expected error for zero config")
 	}
-	if _, err := RunDistributed(0, buildTestNet, train, test, baseConfig()); err == nil {
+	if _, err := runWorld(0, train, test); err == nil {
 		t.Error("expected error for world=0")
 	}
 }
