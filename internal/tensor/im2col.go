@@ -27,7 +27,6 @@ func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
 	if cols.Shape[0] != n*outH*outW || cols.Shape[1] != c*kh*kw {
 		panic("tensor: Im2ColInto shape mismatch")
 	}
-	cols.Zero()
 	colW := c * kh * kw
 	for img := 0; img < n; img++ {
 		base := img * c * h * w
@@ -35,14 +34,30 @@ func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
 			iy0 := oy*stride - pad
 			for ox := 0; ox < outW; ox++ {
 				ix0 := ox*stride - pad
-				row := cols.Data[((img*outH+oy)*outW+ox)*colW:]
+				row := cols.Data[((img*outH+oy)*outW+ox)*colW:][:colW]
+				if iy0 >= 0 && iy0+kh <= h && ix0 >= 0 && ix0+kw <= w {
+					// Interior: every kernel row is an in-bounds span.
+					idx := 0
+					for ch := 0; ch < c; ch++ {
+						src := x.Data[base+ch*h*w+iy0*w+ix0:]
+						for ky := 0; ky < kh; ky++ {
+							d := row[idx : idx+kw]
+							for kx, v := range src[ky*w : ky*w+kw] {
+								d[kx] = v
+							}
+							idx += kw
+						}
+					}
+					continue
+				}
 				idx := 0
 				for ch := 0; ch < c; ch++ {
 					chBase := base + ch*h*w
 					for ky := 0; ky < kh; ky++ {
 						iy := iy0 + ky
 						if iy < 0 || iy >= h {
-							// Entire kernel row is padding: leave zeros.
+							// Entire kernel row is padding.
+							clear(row[idx : idx+kw])
 							idx += kw
 							continue
 						}
@@ -51,6 +66,8 @@ func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
 							ix := ix0 + kx
 							if ix >= 0 && ix < w {
 								row[idx] = x.Data[rowBase+ix]
+							} else {
+								row[idx] = 0
 							}
 							idx++
 						}
@@ -72,7 +89,8 @@ func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
 }
 
 // Col2ImInto is Col2Im accumulating into a caller-provided [N, C, H, W]
-// destination, which it zeroes first.
+// destination, which it zeroes first. Contributions to each image element
+// are added in ascending output-position order.
 func Col2ImInto(x, cols *Tensor, kh, kw, stride, pad int) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	outH := (h+2*pad-kh)/stride + 1
@@ -85,7 +103,22 @@ func Col2ImInto(x, cols *Tensor, kh, kw, stride, pad int) {
 			iy0 := oy*stride - pad
 			for ox := 0; ox < outW; ox++ {
 				ix0 := ox*stride - pad
-				row := cols.Data[((img*outH+oy)*outW+ox)*colW:]
+				row := cols.Data[((img*outH+oy)*outW+ox)*colW:][:colW]
+				if iy0 >= 0 && iy0+kh <= h && ix0 >= 0 && ix0+kw <= w {
+					// Interior: every kernel row is an in-bounds span.
+					idx := 0
+					for ch := 0; ch < c; ch++ {
+						dst := x.Data[base+ch*h*w+iy0*w+ix0:]
+						for ky := 0; ky < kh; ky++ {
+							d := dst[ky*w : ky*w+kw]
+							for kx, v := range row[idx : idx+kw] {
+								d[kx] += v
+							}
+							idx += kw
+						}
+					}
+					continue
+				}
 				idx := 0
 				for ch := 0; ch < c; ch++ {
 					chBase := base + ch*h*w

@@ -11,8 +11,8 @@ package tensor
 //
 // Numeric contract: the fast and scalar paths may round differently (FMA
 // fuses the multiply-add; lane sums reassociate), so cross-implementation
-// tests are tolerance-based, never bit-exact. The float64 paths of this
-// package are untouched and stay bit-identical to their references.
+// tests are tolerance-based, never bit-exact. The float64 GEMM tiles are
+// different: non-fused, and bit-identical to their scalar references.
 
 // dotChunk32 bounds the number of float32 products summed in working
 // precision before the chunk total is widened to float64: DotAcc32 combines

@@ -9,6 +9,14 @@ const parallelThreshold = 64 * 64 * 64
 // float64 tiles (32 KiB) fit comfortably in L1/L2 on current hardware.
 const blockSize = 64
 
+// The scalar range kernels below are the portable implementation and the
+// bit-identity oracle of the tiled AVX2 kernels (gemm_amd64.go); both
+// builds compile them. Each computes rows [lo,hi) of an m×n destination
+// with inner dimension k. The k-ascending kernels (matmulRange,
+// matmulT1Range, gramRange) accumulate every output element over k in
+// ascending order into their zeroed rows and skip a == 0 terms;
+// matmulT2Range is a dot product per element (dotUnroll).
+
 // MatMul returns a × b for matrices a (m×k) and b (k×n).
 func MatMul(a, b *Tensor) *Tensor {
 	m, k := a.Shape[0], a.Shape[1]
@@ -30,14 +38,14 @@ func MatMulInto(dst, a, b *Tensor) {
 	if b.Shape[0] != k || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic("tensor: MatMulInto shape mismatch")
 	}
-	dst.Zero()
-	runKernel(kindMatMul, dst.Data, a.Data, b.Data, m, k, n, m*n*k)
+	runKernel(kindMatMul, dst.Data, a.Data, b.Data, m, k, n)
 }
 
 // matmulRange computes rows [lo,hi) of dst = a×b with i-k-j loop order and
 // k-blocking. The i-k-j order streams b rows sequentially, which the
 // hardware prefetcher handles well, and accumulates into dst rows.
-func matmulRange(dst, a, b []float64, lo, hi, k, n int) {
+func matmulRange(dst, a, b []float64, lo, hi, _, k, n int) {
+	clear(dst[lo*n : hi*n])
 	for kb := 0; kb < k; kb += blockSize {
 		kmax := kb + blockSize
 		if kmax > k {
@@ -95,13 +103,13 @@ func MatMulT1Into(dst, a, b *Tensor) {
 	if b.Shape[0] != k || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic("tensor: MatMulT1Into shape mismatch")
 	}
-	dst.Zero()
-	runKernel(kindMatMulT1, dst.Data, a.Data, b.Data, m, k, n, m*n*k)
+	runKernel(kindMatMulT1, dst.Data, a.Data, b.Data, m, k, n)
 }
 
 // matmulT1Range computes rows [lo,hi) of dst = aᵀb where a is k×m
 // (so aᵀ is m×k) and b is k×n.
-func matmulT1Range(dst, a, b []float64, lo, hi, k, m, n int) {
+func matmulT1Range(dst, a, b []float64, lo, hi, m, k, n int) {
+	clear(dst[lo*n : hi*n])
 	for kk := 0; kk < k; kk++ {
 		arow := a[kk*m : (kk+1)*m]
 		brow := b[kk*n : (kk+1)*n]
@@ -135,12 +143,12 @@ func MatMulT2Into(dst, a, b *Tensor) {
 	if b.Shape[1] != k || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic("tensor: MatMulT2Into shape mismatch")
 	}
-	runKernel(kindMatMulT2, dst.Data, a.Data, b.Data, m, k, n, m*n*k)
+	runKernel(kindMatMulT2, dst.Data, a.Data, b.Data, m, k, n)
 }
 
 // matmulT2Range computes rows [lo,hi) of dst = a×bᵀ. Both a's row i and
 // b's row j are contiguous, so this is a sequence of dot products.
-func matmulT2Range(dst, a, b []float64, lo, hi, k, n int) {
+func matmulT2Range(dst, a, b []float64, lo, hi, _, k, n int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : (i+1)*k]
 		drow := dst[i*n : (i+1)*n]
@@ -166,6 +174,47 @@ func dotUnroll(a, b []float64) float64 {
 		s0 += a[i] * b[i]
 	}
 	return s0 + s1 + s2 + s3
+}
+
+// GramInto computes the Gram matrix dst = aᵀ × a for a (k×m), writing an
+// m×m result. Only the upper triangle is accumulated (half the
+// multiply-adds of MatMulT1Into) and the lower triangle is mirrored from
+// it. The result is bit-identical to MatMulT1Into(dst, a, a) for finite
+// inputs: each upper-triangle element sums the same products in the same
+// k-ascending order, and mirroring copies products that are commutatively
+// identical.
+func GramInto(dst, a *Tensor) {
+	k, m := a.Shape[0], a.Shape[1]
+	if dst.Shape[0] != m || dst.Shape[1] != m {
+		panic("tensor: GramInto shape mismatch")
+	}
+	runKernel(kindGram, dst.Data, a.Data, a.Data, m, k, m)
+	mirrorLower(dst.Data, m)
+}
+
+// gramRange accumulates rows [lo,hi) of the upper triangle of aᵀa for a
+// (k×m): matmulT1Range with b = a, restricted to columns j ≥ i.
+func gramRange(dst, a, _ []float64, lo, hi, m, k, _ int) {
+	clear(dst[lo*m : hi*m])
+	for kk := 0; kk < k; kk++ {
+		arow := a[kk*m : (kk+1)*m]
+		for i := lo; i < hi; i++ {
+			av := arow[i]
+			if av == 0 {
+				continue
+			}
+			axpy(dst[i*m+i:(i+1)*m], arow[i:], av)
+		}
+	}
+}
+
+// mirrorLower copies the upper triangle of the m×m dst into the lower one.
+func mirrorLower(dst []float64, m int) {
+	for i := 1; i < m; i++ {
+		for j := 0; j < i; j++ {
+			dst[i*m+j] = dst[j*m+i]
+		}
+	}
 }
 
 // Transpose returns the transpose of matrix a.

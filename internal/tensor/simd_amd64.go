@@ -2,10 +2,11 @@
 
 package tensor
 
-// AVX2+FMA implementations of the float32 kernel primitives
-// (simd_amd64.s), swapped into the dispatch variables at init when the CPU
-// and OS support them. Build with -tags purego to keep the portable scalar
-// path (the conformance oracle) on any hardware.
+// AVX2+FMA implementations of the float32 kernel primitives and the
+// non-fused AVX2 float64 GEMM tiles (simd_amd64.s, gemm_amd64.go), swapped
+// into the dispatch variables at init when the CPU and OS support them.
+// Build with -tags purego to keep the portable scalar path (the
+// conformance oracle) on any hardware.
 
 //go:noescape
 func axpy32AVX(dst, src []float32, a float32)
@@ -65,5 +66,11 @@ func init() {
 		widenImpl = widenAVX
 		narrowImpl = narrowAVX
 		kernelISA = "avx2+fma"
+		gemmKernels = [numKinds]rangeKernel{
+			kindMatMul:   matmulRangeAVX,
+			kindMatMulT1: matmulT1RangeAVX,
+			kindMatMulT2: matmulT2RangeAVX,
+			kindGram:     gramRangeAVX,
+		}
 	}
 }

@@ -462,3 +462,65 @@ func TestStringSmallAndLarge(t *testing.T) {
 		t.Error("empty String for large tensor")
 	}
 }
+
+// TestIm2ColCol2ImMatchReference pins the lowering and its adjoint to their
+// definitions, bit for bit, over strides, paddings and kernel sizes that
+// mix interior and border positions: Im2ColInto must overwrite stale
+// destination contents, and Col2ImInto must add each element's
+// contributions in ascending output-position order.
+func TestIm2ColCol2ImMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, cfg := range [][6]int{ // n, c, h, w, k, stride
+		{2, 3, 5, 6, 3, 1}, {1, 2, 7, 7, 3, 2}, {2, 1, 4, 4, 1, 1}, {1, 2, 6, 5, 2, 2},
+	} {
+		n, c, h, w, k, stride := cfg[0], cfg[1], cfg[2], cfg[3], cfg[4], cfg[5]
+		for pad := 0; pad <= 2; pad++ {
+			x := Randn(rng, 1, n, c, h, w)
+			oh, ow := ConvOutSize(h, k, stride, pad), ConvOutSize(w, k, stride, pad)
+			if oh < 1 || ow < 1 {
+				continue
+			}
+			colW := c * k * k
+			want := make([]float64, n*oh*ow*colW)
+			wantX := make([]float64, len(x.Data))
+			grad := Randn(rng, 1, n*oh*ow, colW)
+			for img := 0; img < n; img++ {
+				for oy := 0; oy < oh; oy++ {
+					for ox := 0; ox < ow; ox++ {
+						r := (img*oh+oy)*ow + ox
+						for ch := 0; ch < c; ch++ {
+							for ky := 0; ky < k; ky++ {
+								for kx := 0; kx < k; kx++ {
+									col := (ch*k+ky)*k + kx
+									iy, ix := oy*stride-pad+ky, ox*stride-pad+kx
+									if iy < 0 || iy >= h || ix < 0 || ix >= w {
+										continue
+									}
+									src := ((img*c+ch)*h+iy)*w + ix
+									want[r*colW+col] = x.Data[src]
+									wantX[src] += grad.Data[r*colW+col]
+								}
+							}
+						}
+					}
+				}
+			}
+			cols := New(n*oh*ow, colW)
+			cols.Fill(math.NaN())
+			Im2ColInto(cols, x, k, k, stride, pad)
+			dx := New(n, c, h, w)
+			dx.Fill(math.NaN())
+			Col2ImInto(dx, grad, k, k, stride, pad)
+			for i := range want {
+				if math.Float64bits(cols.Data[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("cfg %v pad %d: Im2ColInto element %d = %v, want %v", cfg, pad, i, cols.Data[i], want[i])
+				}
+			}
+			for i := range wantX {
+				if math.Float64bits(dx.Data[i]) != math.Float64bits(wantX[i]) {
+					t.Fatalf("cfg %v pad %d: Col2ImInto element %d = %v, want %v", cfg, pad, i, dx.Data[i], wantX[i])
+				}
+			}
+		}
+	}
+}
