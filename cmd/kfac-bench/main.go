@@ -11,8 +11,8 @@
 //	kfac-bench -exp chaos         # step-time degradation vs injected latency
 //	kfac-bench -all               # run everything
 //	kfac-bench -all -quick        # smoke-test scale (seconds instead of minutes)
-//	kfac-bench -json -out bench/  # write BENCH_*.json (model sizes × precision,
-//	                              # plus the dist_* distribution-mode axis)
+//	kfac-bench -json -out bench/  # write BENCH_*.json (model sizes plus the
+//	                              # dist_* distribution-mode axis)
 //	kfac-bench -json -short       # tiny-model JSON smoke run (the CI artifact job)
 //
 // Each experiment prints its table/series to stdout together with the
@@ -50,18 +50,15 @@ Experiment selection:
 
 Benchmark JSON mode:
   -json         run the benchmark matrix and write BENCH_<scenario>.json:
-                the single-process <model>_sync[_f32] cells plus the dist_* axis
+                the single-process <model>_sync cells plus the dist_* axis
                 ({COMM-OPT, MEM-OPT, HYBRID} × grad-worker fraction, with
                 per-rank peak factor memory)
   -out DIR      output directory for BENCH_*.json (default ".")
   -short        tiny-model matrix for CI smoke jobs (with -json)
-  -precision P  precision slice of the matrix: f64 (reference cells and the
-                dist_* axis), f32 (the _f32 mixed-precision cells only), or
-                both (default)
   -world N      dist_* axis world size (0 = 4 in-process, 16 for -fabric tcp)
   -fabric F     dist transport: inproc (goroutines, the default) or tcp
                 (one OS process per rank over the TCP transport; runs the
-                f64 {commopt, memopt, hybrid50} sweep)
+                {commopt, memopt, hybrid50} sweep)
   -cells        print the BENCH_<scenario> cell names the configured axes
                 emit, one per line, and exit (CI derives its artifact
                 asserts from this instead of a baked-in file list)
@@ -78,7 +75,6 @@ Examples:
   kfac-bench -all -quick
   kfac-bench -json -out bench-artifacts
   kfac-bench -json -short
-  kfac-bench -json -precision f32 -out bench-artifacts
   kfac-bench -json -fabric tcp -world 16 -out bench-artifacts
   kfac-bench -json -short -cells
   kfac-bench -json -eig -out bench-artifacts
@@ -94,7 +90,6 @@ func main() {
 		jsonMode = flag.Bool("json", false, "emit BENCH_<scenario>.json benchmark trajectories")
 		outDir   = flag.String("out", ".", "output directory for -json results")
 		short    = flag.Bool("short", false, "tiny-model -json matrix (CI smoke)")
-		prec     = flag.String("precision", "both", "-json precision slice: f64, f32, or both")
 		world    = flag.Int("world", 0, "dist_* axis world size (0 = fabric default)")
 		fabric   = flag.String("fabric", "inproc", "dist transport: inproc or tcp")
 		cells    = flag.Bool("cells", false, "print the cell names the configured axes emit and exit")
@@ -122,7 +117,7 @@ func main() {
 			names = experiments.TCPBenchCells(*short, *world)
 		default:
 			names = experiments.BenchCells(experiments.BenchConfig{
-				Short: *short, Precision: *prec, World: *world,
+				Short: *short, World: *world,
 			})
 		}
 		for _, n := range names {
@@ -155,7 +150,7 @@ func main() {
 		}
 	case *jsonMode:
 		paths, err := experiments.RunBenchJSONConfig(ctx, *outDir, experiments.BenchConfig{
-			Short: *short, Seed: *seed, Precision: *prec, World: *world,
+			Short: *short, Seed: *seed, World: *world,
 		})
 		for _, p := range paths {
 			fmt.Println(p)

@@ -128,19 +128,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	pr, err := kfac.ParsePrecision(*precision)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	cluster := simulate.DefaultV100Cluster()
-	bytesPerElem := 4.0
-	if pr == kfac.F64 {
+	var width string
+	switch *precision {
+	case "f32", "float32":
+		cluster.BytesPerElem, width = 4, "f32"
+	case "f64", "float64":
 		// Model double-width payloads: twice the bytes through the same
 		// interconnect model.
-		bytesPerElem = 8.0
+		cluster.BytesPerElem, width = 8, "f64"
+	default:
+		fmt.Fprintf(os.Stderr, "kfac-sim: unknown precision %q (want f32 or f64)\n", *precision)
+		os.Exit(2)
 	}
-	cluster.BytesPerElem = bytesPerElem
 
 	m := simulate.NewModel(cluster, simulate.ImageNetWorkload(cat))
 	f := *freq
@@ -197,8 +197,8 @@ func main() {
 	elems := plan.DecompElemsPerRank(cat.FactorRefs())
 	sortedElems := append([]int64(nil), elems...)
 	sort.Slice(sortedElems, func(a, b int) bool { return sortedElems[a] < sortedElems[b] })
-	elemMB := bytesPerElem / 1e6 // bytes per element → MB at the modeled width
-	fmt.Printf("plan %s (%s elements)\n", plan, pr)
+	elemMB := cluster.BytesPerElem / 1e6 // bytes per element → MB at the modeled width
+	fmt.Printf("plan %s (%s elements)\n", plan, width)
 	fmt.Printf("eigenbasis memory/rank: min %.1f MB, median %.1f MB, max %.1f MB (COMM-OPT would hold %.1f MB everywhere)\n",
 		float64(sortedElems[0])*elemMB, float64(sortedElems[len(sortedElems)/2])*elemMB,
 		float64(sortedElems[len(sortedElems)-1])*elemMB,

@@ -59,9 +59,6 @@ Training:
 K-FAC (with -optimizer kfac):
   -strategy {roundrobin,layerwise,greedy}  factor placement across workers
   -mode {eigen,inverse}                inversion path (Table I ablation)
-  -precision {f64,f32}                 compute precision of the K-FAC kernels; f32 runs
-                                       float32 storage with float64 accumulation, keeping
-                                       state and communication float64 (default f64)
   -damping F                           Tikhonov damping γ (default 1e-3)
   -inv-freq N                          eigendecomposition interval (default 10)
   -factor-freq N                       factor update interval (default 1)
@@ -115,7 +112,6 @@ func main() {
 		optimizer = flag.String("optimizer", "kfac", "sgd or kfac")
 		strategy  = flag.String("strategy", "roundrobin", "kfac distribution: roundrobin, layerwise, greedy")
 		mode      = flag.String("mode", "eigen", "kfac inversion: eigen or inverse")
-		precision = flag.String("precision", "f64", "kfac compute precision: f64 or f32 (float32 kernels, float64 accumulation)")
 		world     = flag.Int("world", 1, "number of simulated workers (in-process ranks)")
 		epochs    = flag.Int("epochs", 8, "training epochs")
 		batch     = flag.Int("batch", 32, "mini-batch size per rank")
@@ -231,12 +227,6 @@ func main() {
 		if *mode == "inverse" {
 			kopts = append(kopts, kfac.WithMode(kfac.InverseMode))
 		}
-		pr, err := kfac.ParsePrecision(*precision)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		kopts = append(kopts, kfac.WithPrecision(pr))
 		var codec comm.Codec
 		switch *compress {
 		case "none":

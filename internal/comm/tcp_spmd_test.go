@@ -221,11 +221,23 @@ func TestTCPFabricSPMDConformance(t *testing.T) {
 		}
 		children = append(children, child{cmd: cmd, out: &out})
 	}
+	// Wait for every child before judging any: when one rank never joins,
+	// the others' join errors name only the peer they were waiting on, so
+	// stopping at the first failure (always the lowest rank) would hide
+	// the rank that actually broke.
+	waitErrs := make([]error, world)
 	for r, ch := range children {
-		if err := ch.cmd.Wait(); err != nil {
-			killAll()
-			t.Fatalf("rank %d process failed: %v\n%s", r, err, ch.out.String())
+		waitErrs[r] = ch.cmd.Wait()
+	}
+	var failed []int
+	for r, err := range waitErrs {
+		if err != nil {
+			failed = append(failed, r)
+			t.Errorf("rank %d process failed: %v\n%s", r, err, children[r].out.String())
 		}
+	}
+	if len(failed) > 0 {
+		t.Fatalf("%d of %d ranks failed: %v", len(failed), world, failed)
 	}
 
 	// Every child must report exactly the in-process checksum.

@@ -21,9 +21,7 @@ type Fleet struct {
 }
 
 // decompBytesPerElem is the storage width of one resident decomposition
-// element. Decompositions are held in float64 even under the f32 compute
-// path (only Gram products and preconditioning matmuls narrow), so
-// admission always charges 8 bytes.
+// element: the preconditioner holds its decompositions in float64.
 const decompBytesPerElem = 8
 
 // AdmissionError reports why a job cannot fit the fleet. It is terminal:

@@ -38,7 +38,6 @@ func TestValidateCatchesInconsistentSpecs(t *testing.T) {
 		{"frac without hybrid", func(s *JobSpec) {
 			s.KFAC = &KFACSpec{DistMode: "memopt", GradWorkerFrac: 0.5}
 		}},
-		{"bad precision", func(s *JobSpec) { s.KFAC = &KFACSpec{Precision: "fp16"} }},
 		{"unknown compression", func(s *JobSpec) { s.KFAC = &KFACSpec{Compression: "qsgd"} }},
 		{"topk without fraction", func(s *JobSpec) { s.KFAC = &KFACSpec{Compression: "topk"} }},
 		{"topk fraction above 1", func(s *JobSpec) {

@@ -166,8 +166,6 @@ type KFACSpec struct {
 	FactorUpdateFreq int `json:"factor_update_freq,omitempty"`
 	// InvUpdateFreq is the decomposition interval (0 = default).
 	InvUpdateFreq int `json:"inv_update_freq,omitempty"`
-	// Precision is "f64" (default) or "f32".
-	Precision string `json:"precision,omitempty"`
 	// Compression selects the payload codec for factor and gradient
 	// exchanges: "none" (default), "float16", or "topk".
 	Compression string `json:"compression,omitempty"`
@@ -237,10 +235,6 @@ func (k KFACSpec) options() (kfac.Options, error) {
 	if mode != kfac.Hybrid && k.GradWorkerFrac != 0 {
 		return kfac.Options{}, fmt.Errorf("ctl: grad_worker_frac requires dist_mode hybrid")
 	}
-	prec, err := kfac.ParsePrecision(k.Precision)
-	if err != nil {
-		return kfac.Options{}, fmt.Errorf("ctl: %w", err)
-	}
 	codec, err := k.codec()
 	if err != nil {
 		return kfac.Options{}, err
@@ -260,7 +254,6 @@ func (k KFACSpec) options() (kfac.Options, error) {
 		Damping:          k.Damping,
 		FactorUpdateFreq: k.FactorUpdateFreq,
 		InvUpdateFreq:    k.InvUpdateFreq,
-		Precision:        prec,
 		Compression:      codec,
 		NoErrorFeedback:  k.NoErrorFeedback,
 	}

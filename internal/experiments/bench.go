@@ -1,5 +1,5 @@
 // Benchmark-trajectory harness: kfac-bench's -json mode. Each scenario
-// (model size × precision) runs a single-process training loop with real
+// (model size) runs a single-process training loop with real
 // forward/backward and K-FAC steps, measuring wall time per step, the
 // preconditioner's stage profile, and heap
 // allocations/bytes per step — both over a realistic update mix and in the
@@ -34,21 +34,23 @@ import (
 const BenchSchema = "kfac-bench/v1"
 
 // benchEngine fills every record's engine field and the engine part of the
-// single-process cell names (<model>_sync[_f32]). K-FAC has one step
-// engine; the name stays so new records compare with the committed refs.
+// single-process cell names (<model>_sync). K-FAC has one step engine; the
+// name stays so new records compare with the committed refs.
 const benchEngine = "sync"
+
+// benchPrecision fills every record's precision field. K-FAC has one
+// (float64) compute path; the field stays so schema v1 records keep
+// parsing and comparing with the committed refs.
+const benchPrecision = "f64"
 
 // BenchResult is the JSON record one benchmark scenario emits. All
 // durations are nanoseconds; alloc metrics are per executed step.
 type BenchResult struct {
-	Schema   string `json:"schema"`
-	Scenario string `json:"scenario"` // "<model>_sync[_f32]" or "dist_<model>_w<world>_<mode>"
-	Model    string `json:"model"`
-	Engine   string `json:"engine"` // always benchEngine
-	// Precision is the K-FAC compute precision of the run: "f64" (the exact
-	// reference path) or "f32" (float32 kernels with float64 accumulation;
-	// the scenario name carries a matching _f32 suffix).
-	Precision string `json:"precision"`
+	Schema    string `json:"schema"`
+	Scenario  string `json:"scenario"` // "<model>_sync" or "dist_<model>_w<world>_<mode>"
+	Model     string `json:"model"`
+	Engine    string `json:"engine"`    // always benchEngine
+	Precision string `json:"precision"` // always benchPrecision
 	// Fabric is the transport the scenario ran on: "local" for
 	// single-process cells, "inproc" for the in-process dist_* axis, "tcp"
 	// when the cell ran across real OS processes over the TCP transport
@@ -97,64 +99,44 @@ type BenchResult struct {
 	SteadyBytesPerStep  float64 `json:"steady_bytes_per_step"`
 }
 
-// benchScenario is one (model, precision) cell of the benchmark matrix.
+// benchScenario is one model cell of the benchmark matrix.
 type benchScenario struct {
-	model     string
-	blocks    int
-	width     int
-	batch     int
-	steps     int
-	precision kfac.Precision
+	model  string
+	blocks int
+	width  int
+	batch  int
+	steps  int
 }
 
 // benchMatrix returns the scenario list: -short runs one tiny model for the
 // CI smoke job; the full matrix covers small/medium/large.
 func benchMatrix(short bool) []benchScenario {
 	if short {
-		tiny := benchScenario{model: "tiny", blocks: 1, width: 4, batch: 4, steps: 6}
-		tinyF32 := tiny
-		tinyF32.precision = kfac.F32
-		return []benchScenario{tiny, tinyF32}
+		return []benchScenario{{model: "tiny", blocks: 1, width: 4, batch: 4, steps: 6}}
 	}
-	cells := []benchScenario{
+	return []benchScenario{
 		{model: "small", blocks: 1, width: 8, batch: 8, steps: 20},
 		{model: "medium", blocks: 2, width: 16, batch: 8, steps: 20},
 		{model: "large", blocks: 3, width: 32, batch: 8, steps: 10},
 	}
-	// Mixed-precision cells mirror small and medium — the sizes the
-	// committed trajectories track f64-vs-f32 on (docs/PERFORMANCE.md).
-	for _, base := range cells[:2] {
-		f32 := base
-		f32.precision = kfac.F32
-		cells = append(cells, f32)
-	}
-	return cells
 }
 
-// name is the scenario's cell name: <model>_sync, plus _f32 for the
-// mixed-precision cells.
-func (sc benchScenario) name() string {
-	name := sc.model + "_" + benchEngine
-	if sc.precision == kfac.F32 {
-		name += "_f32"
-	}
-	return name
-}
+// name is the scenario's cell name, <model>_sync.
+func (sc benchScenario) name() string { return sc.model + "_" + benchEngine }
 
 // distScenario is one cell of the distribution-mode benchmark axis: a
 // multi-rank run of one (model, mode, grad-worker fraction) combination,
 // in-process by default or across real OS processes under the TCP driver.
 type distScenario struct {
-	name      string
-	mode      kfac.DistMode
-	frac      float64
-	model     string
-	blocks    int
-	width     int
-	batch     int
-	world     int
-	steps     int
-	precision kfac.Precision
+	name   string
+	mode   kfac.DistMode
+	frac   float64
+	model  string
+	blocks int
+	width  int
+	batch  int
+	world  int
+	steps  int
 	// fabric is the transport label the cell records ("inproc" when empty).
 	fabric string
 	// autotune enables the bandwidth-adaptive controller; on the bench's
@@ -169,14 +151,10 @@ type distScenario struct {
 const DefaultDistWorld = 4
 
 // scenarioName derives the cell's schema-stable scenario string
-// ("dist_<model>_w<world>_<name>[_f32]"). File names, the schema test, and
-// the CI artifact asserts all come from this one formula.
+// ("dist_<model>_w<world>_<name>"). File names, the schema test, and the CI
+// artifact asserts all come from this one formula.
 func (sc distScenario) scenarioName() string {
-	s := fmt.Sprintf("dist_%s_w%d_%s", sc.model, sc.world, sc.name)
-	if sc.precision == kfac.F32 {
-		s += "_f32"
-	}
-	return s
+	return fmt.Sprintf("dist_%s_w%d_%s", sc.model, sc.world, sc.name)
 }
 
 // fabricLabel returns the transport label the cell records.
@@ -187,14 +165,10 @@ func (sc distScenario) fabricLabel() string {
 	return sc.fabric
 }
 
-// distMatrix returns the {mode, gradWorkerFrac} × precision scenario axis
-// at the given world size (0 = DefaultDistWorld). The four mode cells cover
-// both endpoints of the memory/communication tradeoff and two HYBRID
-// interpolations, each measured at the f64 reference precision and on the
-// float32 kernel path (_f32 cells: the layers compute in float32 and K-FAC
-// runs its narrowed kernels, so the cells track the mixed-precision cost of
-// the distribution machinery); -short shrinks the model for the CI smoke
-// job.
+// distMatrix returns the {mode, gradWorkerFrac} scenario axis at the given
+// world size (0 = DefaultDistWorld). The four mode cells cover both
+// endpoints of the memory/communication tradeoff and two HYBRID
+// interpolations; -short shrinks the model for the CI smoke job.
 func distMatrix(short bool, world int) []distScenario {
 	model, blocks, width, batch, steps := "small", 1, 8, 8, 8
 	if short {
@@ -213,23 +187,21 @@ func distMatrix(short bool, world int) []distScenario {
 		{"hybrid25", kfac.Hybrid, 0.25},
 		{"hybrid50", kfac.Hybrid, 0.5},
 	}
-	out := make([]distScenario, 0, 2*len(cells)+1)
-	for _, prec := range []kfac.Precision{kfac.F64, kfac.F32} {
-		for _, c := range cells {
-			out = append(out, distScenario{
-				name: c.name, mode: c.mode, frac: c.frac,
-				model: model, blocks: blocks, width: width, batch: batch,
-				world: world, steps: steps, precision: prec,
-			})
-		}
+	out := make([]distScenario, 0, len(cells)+1)
+	for _, c := range cells {
+		out = append(out, distScenario{
+			name: c.name, mode: c.mode, frac: c.frac,
+			model: model, blocks: blocks, width: width, batch: batch,
+			world: world, steps: steps,
+		})
 	}
-	// The autotune twin of the f64 COMM-OPT cell:
+	// The autotune twin of the COMM-OPT cell:
 	// `benchdiff -suffix _autotune` rekeys it onto dist_<model>_w<N>_commopt
 	// and reports the controller's step-time overhead as the delta.
 	out = append(out, distScenario{
 		name: "commopt_autotune", mode: kfac.CommOpt,
 		model: model, blocks: blocks, width: width, batch: batch,
-		world: world, steps: steps, precision: kfac.F64, autotune: true,
+		world: world, steps: steps, autotune: true,
 	})
 	return out
 }
@@ -244,35 +216,8 @@ type BenchConfig struct {
 	Short bool
 	// Seed is the synthetic-data RNG seed.
 	Seed int64
-	// Precision restricts the matrix to one precision slice: "f64" keeps
-	// the reference cells, "f32" the mixed-precision (_f32) cells, "both"
-	// (also the "" default) runs everything.
-	Precision string
 	// World is the dist_* axis world size (0 = DefaultDistWorld).
 	World int
-}
-
-// keepPrecision reports whether a cell of the given precision is in the
-// configured slice.
-func (cfg BenchConfig) keepPrecision(p kfac.Precision) bool {
-	switch cfg.Precision {
-	case "f64":
-		return p == kfac.F64
-	case "f32":
-		return p == kfac.F32
-	default:
-		return true
-	}
-}
-
-// validate rejects unknown precision slices.
-func (cfg BenchConfig) validate() error {
-	switch cfg.Precision {
-	case "", "f64", "f32", "both":
-		return nil
-	default:
-		return fmt.Errorf("bench: unknown precision filter %q (want f64, f32, or both)", cfg.Precision)
-	}
 }
 
 // BenchCells returns, in run order, the scenario names RunBenchJSONConfig
@@ -282,15 +227,9 @@ func (cfg BenchConfig) validate() error {
 func BenchCells(cfg BenchConfig) []string {
 	var out []string
 	for _, sc := range benchMatrix(cfg.Short) {
-		if !cfg.keepPrecision(sc.precision) {
-			continue
-		}
 		out = append(out, sc.name())
 	}
 	for _, sc := range distMatrix(cfg.Short, cfg.World) {
-		if !cfg.keepPrecision(sc.precision) {
-			continue
-		}
 		out = append(out, sc.scenarioName())
 	}
 	return out
@@ -311,7 +250,7 @@ func writeBenchResult(outDir string, res *BenchResult) (string, error) {
 }
 
 // RunBenchJSON executes the benchmark matrix — the single-process
-// (model × precision) cells plus the distributed {mode, gradWorkerFrac} axis
+// model cells plus the distributed {mode, gradWorkerFrac} axis
 // — and writes one BENCH_<scenario>.json per scenario into outDir,
 // returning the file paths. Scenarios respect ctx cancellation between
 // steps.
@@ -319,18 +258,9 @@ func RunBenchJSON(ctx context.Context, outDir string, short bool, seed int64) ([
 	return RunBenchJSONConfig(ctx, outDir, BenchConfig{Short: short, Seed: seed})
 }
 
-// RunBenchJSONFiltered is RunBenchJSON restricted to one precision slice of
-// the matrix at the default dist world.
-func RunBenchJSONFiltered(ctx context.Context, outDir string, short bool, seed int64, precision string) ([]string, error) {
-	return RunBenchJSONConfig(ctx, outDir, BenchConfig{Short: short, Seed: seed, Precision: precision})
-}
-
 // RunBenchJSONConfig runs the matrix described by cfg; the emitted file set
 // is exactly BenchCells(cfg).
 func RunBenchJSONConfig(ctx context.Context, outDir string, cfg BenchConfig) ([]string, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return nil, err
 	}
@@ -344,9 +274,6 @@ func RunBenchJSONConfig(ctx context.Context, outDir string, cfg BenchConfig) ([]
 		return nil
 	}
 	for _, sc := range benchMatrix(cfg.Short) {
-		if !cfg.keepPrecision(sc.precision) {
-			continue
-		}
 		res, err := runBenchScenario(ctx, sc, cfg.Seed)
 		if err != nil {
 			return paths, fmt.Errorf("bench %s: %w", sc.name(), err)
@@ -356,9 +283,6 @@ func RunBenchJSONConfig(ctx context.Context, outDir string, cfg BenchConfig) ([]
 		}
 	}
 	for _, sc := range distMatrix(cfg.Short, cfg.World) {
-		if !cfg.keepPrecision(sc.precision) {
-			continue
-		}
 		res, err := runDistBenchScenario(ctx, sc, cfg.Seed)
 		if err != nil {
 			return paths, fmt.Errorf("bench dist %s: %w", sc.name, err)
@@ -382,7 +306,7 @@ func newDistBenchResult(sc distScenario) *BenchResult {
 		Scenario:  sc.scenarioName(),
 		Model:     sc.model,
 		Engine:    benchEngine,
-		Precision: sc.precision.String(),
+		Precision: benchPrecision,
 		Fabric:    sc.fabricLabel(),
 
 		World:                  sc.world,
@@ -410,13 +334,9 @@ func runDistRank(ctx context.Context, sc distScenario, seed int64, c *comm.Commu
 	rng := rand.New(rand.NewSource(seed))
 	net := models.BuildCIFARResNet(sc.blocks, sc.width, 3, 10, rng)
 	nn.SetBufferReuse(net, true)
-	if sc.precision == kfac.F32 {
-		nn.SetComputeF32(net, true)
-	}
 	opts := kfac.Options{
 		FactorUpdateFreq: distBenchFacFreq, InvUpdateFreq: distBenchInvFreq, Damping: 1e-3,
 		DistMode: sc.mode, GradWorkerFrac: sc.frac,
-		Precision: sc.precision,
 	}
 	if sc.autotune {
 		opts.Autotune = &kfac.AutotuneConfig{}
@@ -548,13 +468,9 @@ func runBenchScenario(ctx context.Context, sc benchScenario, seed int64) (*Bench
 	rng := rand.New(rand.NewSource(seed))
 	net := models.BuildCIFARResNet(sc.blocks, sc.width, 3, 10, rng)
 	nn.SetBufferReuse(net, true)
-	if sc.precision == kfac.F32 {
-		nn.SetComputeF32(net, true)
-	}
 	const facFreq, invFreq = 5, 10
 	prec := kfac.NewFromOptions(net, nil, kfac.Options{
 		FactorUpdateFreq: facFreq, InvUpdateFreq: invFreq, Damping: 1e-3,
-		Precision: sc.precision,
 	})
 
 	plan := prec.Plan()
@@ -563,7 +479,7 @@ func runBenchScenario(ctx context.Context, sc benchScenario, seed int64) (*Bench
 		Scenario:       sc.name(),
 		Model:          sc.model,
 		Engine:         benchEngine,
-		Precision:      sc.precision.String(),
+		Precision:      benchPrecision,
 		Fabric:         "local",
 		World:          1,
 		DistMode:       plan.Mode.String(),

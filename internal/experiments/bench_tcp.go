@@ -74,8 +74,7 @@ func tcpMatrix(short bool, world int) []distScenario {
 		out = append(out, distScenario{
 			name: c.name, mode: c.mode, frac: c.frac,
 			model: model, blocks: blocks, width: width, batch: batch,
-			world: world, steps: steps, precision: kfac.F64,
-			fabric: "tcp",
+			world: world, steps: steps, fabric: "tcp",
 		})
 	}
 	return out

@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/kfac"
 )
 
 // TestRunBenchJSONSchemaStable runs the -short benchmark matrix into a
@@ -28,27 +26,16 @@ func TestRunBenchJSONSchemaStable(t *testing.T) {
 	checkBenchFiles(t, paths)
 
 	// Shape invariants derived from the same axes the runner uses.
-	wantDist, wantF32, autotuneCell := 0, 0, ""
-	for _, sc := range benchMatrix(cfg.Short) {
-		if sc.precision == kfac.F32 {
-			wantF32++
-		}
-	}
+	wantDist, autotuneCell := 0, ""
 	for _, sc := range distMatrix(cfg.Short, cfg.World) {
 		wantDist++
-		if sc.precision == kfac.F32 {
-			wantF32++
-		}
 		if sc.autotune {
 			autotuneCell = sc.scenarioName()
 		}
 	}
-	distSeen, f32Seen, autotuneSeen := countCells(t, paths)
+	distSeen, autotuneSeen := countCells(t, paths)
 	if distSeen != wantDist {
 		t.Errorf("saw %d dist_* scenarios, want %d (derived from distMatrix)", distSeen, wantDist)
-	}
-	if f32Seen != wantF32 {
-		t.Errorf("saw %d f32 scenarios, want %d (derived from the axes)", f32Seen, wantF32)
 	}
 	if autotuneCell == "" || !autotuneSeen {
 		t.Errorf("autotune bench cell %q missing from the short matrix", autotuneCell)
@@ -71,7 +58,7 @@ func TestRunBenchJSONSchemaStable(t *testing.T) {
 // names, the world field, and world-length per-rank memory all follow it.
 func TestRunBenchJSONWorldAxis(t *testing.T) {
 	dir := t.TempDir()
-	cfg := BenchConfig{Short: true, Seed: 42, Precision: "f64", World: 2}
+	cfg := BenchConfig{Short: true, Seed: 42, World: 2}
 	paths, err := RunBenchJSONConfig(context.Background(), dir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -102,10 +89,10 @@ func TestRunBenchJSONWorldAxis(t *testing.T) {
 }
 
 // TestBenchCellsDerivation pins the derivation contract: names follow the
-// dist_<model>_w<world>_<mode>[_f32] formula at whatever world is asked,
-// and the TCP matrix is the f64 three-mode sweep.
+// dist_<model>_w<world>_<mode> formula at whatever world is asked, and the
+// TCP matrix is the three-mode sweep.
 func TestBenchCellsDerivation(t *testing.T) {
-	cells := BenchCells(BenchConfig{Short: true, World: 32, Precision: "f64"})
+	cells := BenchCells(BenchConfig{Short: true, World: 32})
 	want := map[string]bool{
 		"dist_tiny_w32_commopt": true, "dist_tiny_w32_memopt": true,
 		"dist_tiny_w32_hybrid25": true, "dist_tiny_w32_hybrid50": true,
@@ -115,7 +102,7 @@ func TestBenchCellsDerivation(t *testing.T) {
 		delete(want, c)
 	}
 	if len(want) != 0 {
-		t.Errorf("w32 f64 cells missing: %v (got %v)", want, cells)
+		t.Errorf("w32 cells missing: %v (got %v)", want, cells)
 	}
 	tcp := TCPBenchCells(true, 16)
 	wantTCP := []string{"dist_tiny_w16_commopt", "dist_tiny_w16_memopt", "dist_tiny_w16_hybrid50"}
@@ -145,7 +132,7 @@ func assertCellsMatch(t *testing.T, paths, cells []string) {
 
 // checkBenchFiles applies the per-file schema gate shared with the CI
 // artifact job: valid JSON, documented fields, positive timings, world-
-// consistent per-rank memory, and _f32 suffix discipline.
+// consistent per-rank memory, and the fixed engine and precision fields.
 func checkBenchFiles(t *testing.T, paths []string) {
 	t.Helper()
 	for _, p := range paths {
@@ -183,14 +170,8 @@ func checkBenchFiles(t *testing.T, paths []string) {
 		if err := json.Unmarshal(raw, &typed); err != nil {
 			t.Fatal(err)
 		}
-		switch typed.Precision {
-		case "f64":
-		case "f32":
-			if len(typed.Scenario) < 4 || typed.Scenario[len(typed.Scenario)-4:] != "_f32" {
-				t.Errorf("%s: precision f32 but scenario %q lacks _f32 suffix", p, typed.Scenario)
-			}
-		default:
-			t.Errorf("%s: precision = %q, want f64 or f32", p, typed.Precision)
+		if typed.Precision != benchPrecision {
+			t.Errorf("%s: precision = %q, want %q", p, typed.Precision, benchPrecision)
 		}
 		if typed.Engine != benchEngine {
 			t.Errorf("%s: engine = %q, want %q", p, typed.Engine, benchEngine)
@@ -217,8 +198,8 @@ func checkBenchFiles(t *testing.T, paths []string) {
 	}
 }
 
-// countCells tallies dist/f32/autotune cells among emitted files.
-func countCells(t *testing.T, paths []string) (dist, f32 int, autotune bool) {
+// countCells tallies dist/autotune cells among emitted files.
+func countCells(t *testing.T, paths []string) (dist int, autotune bool) {
 	t.Helper()
 	for _, p := range paths {
 		var typed BenchResult
@@ -232,12 +213,9 @@ func countCells(t *testing.T, paths []string) (dist, f32 int, autotune bool) {
 		if typed.World > 1 {
 			dist++
 		}
-		if typed.Precision == "f32" {
-			f32++
-		}
 		if len(typed.Scenario) > 9 && typed.Scenario[len(typed.Scenario)-9:] == "_autotune" {
 			autotune = true
 		}
 	}
-	return dist, f32, autotune
+	return dist, autotune
 }

@@ -81,12 +81,6 @@ type Options struct {
 	// MaxFactorDim excludes layers whose A or G factor would exceed this
 	// dimension (0 = no limit) — a memory/time guard for very wide layers.
 	MaxFactorDim int
-	// Precision selects the arithmetic width of the covariance and
-	// preconditioning kernels (default F64). F32 stores and multiplies in
-	// float32 with float64 accumulation; running averages, decompositions,
-	// communication, and checkpoints stay float64 regardless (see
-	// precision.go).
-	Precision Precision
 	// Compression applies a lossy codec to the factor allreduce and the
 	// trainer's gradient exchange (nil = exact), wrapped in error-feedback
 	// residual accumulation unless NoErrorFeedback is set. Must be
@@ -178,9 +172,6 @@ type layerState struct {
 	// preconditioning with it). Storage still recycles: the pair
 	// ping-pongs between the two buffers.
 	eigSpareA, eigSpareG *linalg.Eigen
-
-	// Float32 mirrors and workspaces; nil unless Options.Precision == F32.
-	f32 *layerF32
 }
 
 // Preconditioner is the distributed K-FAC gradient preconditioner
@@ -247,14 +238,7 @@ func NewFromOptions(model nn.Layer, c *comm.Communicator, opts Options) *Precond
 			}
 		}
 		l.SetCapture(true)
-		s := &layerState{layer: l}
-		if opts.Precision == F32 {
-			// Allocated eagerly: the eig scheduler may decompose a layer's A
-			// and G concurrently, each refreshing its float32 mirror, so the
-			// lazy ensureF32 would race here.
-			s.f32 = &layerF32{}
-		}
-		p.states = append(p.states, s)
+		p.states = append(p.states, &layerState{layer: l})
 	}
 	p.replan()
 	return p
@@ -385,11 +369,7 @@ func (p *Preconditioner) factorMemBytes() int64 {
 		elems += tlen(s.invA) + tlen(s.invG)
 		elems += eglen(s.eigA) + eglen(s.eigG) + eglen(s.eigSpareA) + eglen(s.eigSpareG)
 	}
-	bytes := 8 * elems
-	for _, s := range p.states {
-		bytes += 4 * s.f32MemElems()
-	}
-	return bytes
+	return 8 * elems
 }
 
 // FactorRefs lists the factors in placement order: (A₀, G₁, A₁, G₂, ...) —
@@ -482,10 +462,6 @@ func (p *Preconditioner) Step(lr float64) error {
 // reused workspaces and folds them into the running averages
 // (Equations 16–17).
 func (p *Preconditioner) computeCovState(s *layerState) {
-	if p.opts.Precision == F32 {
-		p.computeCovState32(s)
-		return
-	}
 	da, dg := FactorDims(s.layer)
 	covA := tensor.Ensure(&s.covA, da, da)
 	computeCovAInto(covA, s.layer, &s.sample)
@@ -692,7 +668,6 @@ func (p *Preconditioner) decomposeA(s *layerState) error {
 			return err
 		}
 		s.invA = inv
-		p.refreshF32A(s)
 		return nil
 	}
 	if s.eigSpareA == nil {
@@ -705,7 +680,6 @@ func (p *Preconditioner) decomposeA(s *layerState) error {
 	}
 	clampEigen(s.eigSpareA)
 	s.eigA, s.eigSpareA = s.eigSpareA, s.eigA
-	p.refreshF32A(s)
 	return nil
 }
 
@@ -720,7 +694,6 @@ func (p *Preconditioner) decomposeG(s *layerState) error {
 			return err
 		}
 		s.invG = inv
-		p.refreshF32G(s)
 		return nil
 	}
 	if s.eigSpareG == nil {
@@ -731,7 +704,6 @@ func (p *Preconditioner) decomposeG(s *layerState) error {
 	}
 	clampEigen(s.eigSpareG)
 	s.eigG, s.eigSpareG = s.eigSpareG, s.eigG
-	p.refreshF32G(s)
 	return nil
 }
 
@@ -861,9 +833,6 @@ func (p *Preconditioner) applyKLClip(lr float64, grads, preconds []*tensor.Tenso
 // decompositions, writing into the layer's reused workspace (which it
 // returns). grad must not alias the workspace tensors.
 func (p *Preconditioner) preconditionOne(s *layerState, grad *tensor.Tensor) *tensor.Tensor {
-	if p.opts.Precision == F32 {
-		return p.preconditionOne32(s, grad)
-	}
 	out, in := grad.Rows(), grad.Cols()
 	pc := tensor.Ensure(&s.pcBuf, out, in)
 	if p.opts.Mode == InverseMode {
@@ -987,11 +956,6 @@ func (p *Preconditioner) consumeRecords(block []float64) error {
 			// Fill the stored inverse in place, reusing its storage.
 			copy(tensor.Ensure(dst, n, n).Data, block[pos:pos+n*n])
 			pos += n * n
-			if isG {
-				p.refreshF32G(s)
-			} else {
-				p.refreshF32A(s)
-			}
 			continue
 		}
 		if pos+n+n*n > len(block) {
@@ -1009,11 +973,6 @@ func (p *Preconditioner) consumeRecords(block []float64) error {
 		}
 		eg.SetFrom(block[pos:pos+n], block[pos+n:pos+n+n*n], n)
 		pos += n + n*n
-		if isG {
-			p.refreshF32G(s)
-		} else {
-			p.refreshF32A(s)
-		}
 	}
 	return nil
 }

@@ -2,11 +2,6 @@ package linalg
 
 import "repro/internal/tensor"
 
-// symThreshold is the multiply-add count below which the float32 Gram
-// kernel runs serially; it mirrors the threshold of the tensor matmul
-// kernels.
-const symThreshold = 64 * 64 * 64
-
 // SymMulT1Into computes the Gram matrix dst = aᵀ × a for a (k×m), writing
 // an m×m result. It is the kernel K-FAC's covariance factors A = aᵀa/N and
 // G = gᵀg are built from: because the result is symmetric, only the upper

@@ -36,8 +36,6 @@ type Conv2D struct {
 	dwBuf      *tensor.Tensor // weight-gradient scratch
 	dColsBuf   *tensor.Tensor // backward column-space gradient
 	dxBuf      *tensor.Tensor // input gradient
-
-	f32 *convF32 // non-nil when the float32 compute path is on (F32Computer)
 }
 
 // NewConv2D constructs a convolution layer with He initialization
@@ -72,9 +70,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.batch = n
 	c.outH = tensor.ConvOutSize(h, c.KH, c.Stride, c.Pad)
 	c.outW = tensor.ConvOutSize(w, c.KW, c.Stride, c.Pad)
-	if c.f32 != nil {
-		return c.forward32(x, n, h, w)
-	}
 	rows := n * c.outH * c.outW
 	if c.reuse {
 		tensor.Ensure(&c.cols, rows, c.InC*c.KH*c.KW)
@@ -101,9 +96,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if c.f32 != nil {
-		return c.backward32(gradOut)
-	}
 	n := c.inShape[0]
 	gradMat := ensureBuf(c.reuse, &c.gradMatBuf, n*c.outH*c.outW, c.OutC)
 	nchwToMat(gradMat, gradOut, n, c.OutC, c.outH, c.outW) // [n·oh·ow, outC]
@@ -190,17 +182,11 @@ func (c *Conv2D) CapturedActivation() *tensor.Tensor {
 	if !c.capture {
 		return nil
 	}
-	if c.f32 != nil {
-		return widenCapture(&c.f32.actWide, c.CapturedActivation32())
-	}
 	return c.cols
 }
 
 // CapturedOutputGrad implements KFACCapturable.
 func (c *Conv2D) CapturedOutputGrad() *tensor.Tensor {
-	if c.f32 != nil {
-		return widenCapture(&c.f32.gradWide, c.CapturedOutputGrad32())
-	}
 	return c.gradCap
 }
 

@@ -26,8 +26,6 @@ type Linear struct {
 	yBuf  *tensor.Tensor // forward output
 	dwBuf *tensor.Tensor // weight-gradient scratch
 	dxBuf *tensor.Tensor // input gradient
-
-	f32 *linearF32 // non-nil when the float32 compute path is on (F32Computer)
 }
 
 // NewLinear constructs a linear layer with He initialization.
@@ -44,9 +42,6 @@ func NewLinear(name string, in, out int, bias bool, rng *rand.Rand) *Linear {
 
 // Forward implements Layer.
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if l.f32 != nil {
-		return l.forward32(x, train)
-	}
 	l.x = x
 	l.batch = x.Rows()
 	if train && l.capture {
@@ -72,9 +67,6 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if l.f32 != nil {
-		return l.backward32(gradOut)
-	}
 	if l.capture {
 		if l.reuse {
 			tensor.Ensure(&l.gradCap, gradOut.Shape...).CopyFrom(gradOut)
@@ -123,20 +115,13 @@ func (l *Linear) SetCapture(on bool) {
 	}
 }
 
-// CapturedActivation implements KFACCapturable. On the float32 compute
-// path the capture lives in float32; a float64 view is widened on demand.
+// CapturedActivation implements KFACCapturable.
 func (l *Linear) CapturedActivation() *tensor.Tensor {
-	if l.f32 != nil {
-		return widenCapture(&l.f32.actWide, l.CapturedActivation32())
-	}
 	return l.actCap
 }
 
 // CapturedOutputGrad implements KFACCapturable.
 func (l *Linear) CapturedOutputGrad() *tensor.Tensor {
-	if l.f32 != nil {
-		return widenCapture(&l.f32.gradWide, l.CapturedOutputGrad32())
-	}
 	return l.gradCap
 }
 

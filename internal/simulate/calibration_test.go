@@ -233,7 +233,6 @@ func calibrationModel(t *testing.T) *simulate.PlanModel {
 			IntraNode: link, InterNode: link, InterRack: link,
 		},
 		BytesPerElem:         8, // the fabric moves float64s verbatim
-		DecompBytesPerElem:   8,
 		EigFlopsPerSec:       linalg.EigFLOPs(48) / math.Max(eigBig-eigSmall, 1e-9),
 		FactorFlopsPerSec:    probeGEMM(),
 		PerFactorOverheadSec: eigSmall, // tiny-dim solve ≈ pure launch cost

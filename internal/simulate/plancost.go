@@ -17,10 +17,6 @@ type PlanModel struct {
 	// BytesPerElem is the wire width of one payload element (4 models the
 	// paper's FP32 fabric, 8 this repo's exact float64 wire format).
 	BytesPerElem float64
-	// DecompBytesPerElem is the resident width of one decomposition
-	// element. The live preconditioner holds decompositions in float64 even on the
-	// f32 compute path, so admission parity wants 8 (the default).
-	DecompBytesPerElem float64
 	// EigFlopsPerSec is the effective symmetric-eigensolver throughput.
 	EigFlopsPerSec float64
 	// FactorFlopsPerSec is the GEMM throughput of the preconditioning
@@ -60,7 +56,6 @@ func NewPlanModel(topo Topology, cluster ClusterConfig) *PlanModel {
 	return &PlanModel{
 		Topology:             topo,
 		BytesPerElem:         cluster.BytesPerElem,
-		DecompBytesPerElem:   8,
 		EigFlopsPerSec:       cluster.EigFlopsPerSec,
 		FactorFlopsPerSec:    cluster.FactorFlopsPerSec,
 		PerFactorOverheadSec: cluster.PerFactorOverheadSec,
@@ -94,13 +89,10 @@ func (pm *PlanModel) eigTeamSpeedup(t int) float64 {
 	return 1 + eff*float64(t-1)
 }
 
-// decompWidth returns the resident decomposition element width.
-func (pm *PlanModel) decompWidth() float64 {
-	if pm.DecompBytesPerElem > 0 {
-		return pm.DecompBytesPerElem
-	}
-	return 8
-}
+// decompBytesPerElem is the resident width of one decomposition element:
+// the live preconditioner holds decompositions in float64, the same width
+// ctl admission charges.
+const decompBytesPerElem = 8
 
 // PlanEval is one candidate's full predicted breakdown — what kfac-sim's
 // predicted-vs-chosen table prints and CandidateCost condenses.
@@ -166,7 +158,7 @@ func (pm *PlanModel) Evaluate(strategy kfac.Strategy, refs []kfac.FactorRef, wor
 	elems := plan.DecompElemsPerRank(refs)
 	ev.MemBytesPerRank = make([]int64, len(elems))
 	for r, e := range elems {
-		ev.MemBytesPerRank[r] = int64(float64(e) * pm.decompWidth())
+		ev.MemBytesPerRank[r] = int64(float64(e) * decompBytesPerElem)
 		if ev.MemBytesPerRank[r] > ev.MaxMemBytes {
 			ev.MaxMemBytes = ev.MemBytesPerRank[r]
 		}

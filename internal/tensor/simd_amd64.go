@@ -2,26 +2,10 @@
 
 package tensor
 
-// AVX2+FMA implementations of the float32 kernel primitives and the
-// non-fused AVX2 float64 GEMM tiles (simd_amd64.s, gemm_amd64.go), swapped
-// into the dispatch variables at init when the CPU and OS support them.
+// The non-fused AVX2 float64 GEMM tiles (simd_amd64.s, gemm_amd64.go) are
+// swapped into the kernel table at init when the CPU and OS support them.
 // Build with -tags purego to keep the portable scalar path (the
 // conformance oracle) on any hardware.
-
-//go:noescape
-func axpy32AVX(dst, src []float32, a float32)
-
-//go:noescape
-func dotAcc32AVX(a, b []float32) float64
-
-//go:noescape
-func foldAccAVX(acc []float64, src []float32)
-
-//go:noescape
-func widenAVX(dst []float64, src []float32)
-
-//go:noescape
-func narrowAVX(dst []float32, src []float64)
 
 // cpuidRaw executes CPUID with the given leaf/subleaf.
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -60,12 +44,6 @@ func HasAVX2FMA() bool {
 
 func init() {
 	if HasAVX2FMA() {
-		axpy32Impl = axpy32AVX
-		dotAcc32Impl = dotAcc32AVX
-		foldAccImpl = foldAccAVX
-		widenImpl = widenAVX
-		narrowImpl = narrowAVX
-		kernelISA = "avx2+fma"
 		gemmKernels = [numKinds]rangeKernel{
 			kindMatMul:   matmulRangeAVX,
 			kindMatMulT1: matmulT1RangeAVX,

@@ -364,17 +364,6 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 	nn.SetBufferReuse(s.net, true)
 	defer nn.SetBufferReuse(s.net, false)
 
-	// Mixed precision: when K-FAC is configured for float32 kernels, switch
-	// the layers' forward/backward to the float32 compute path too, so the
-	// preconditioner consumes native float32 captures with no narrowing
-	// pass. Parameters, gradients, the allreduce payloads, and checkpoints
-	// stay float64 (convert at the boundary). Restored on exit like buffer
-	// reuse.
-	if cfg.KFAC != nil && cfg.KFAC.Precision == kfac.F32 {
-		nn.SetComputeF32(s.net, true)
-		defer nn.SetComputeF32(s.net, false)
-	}
-
 	startEpoch, startStep := 0, 0
 	if s.resume != nil {
 		if err := s.resume.Restore(s.net); err != nil {

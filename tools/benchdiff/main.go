@@ -7,16 +7,16 @@
 //	go run ./tools/benchdiff -ref bench -new bench-artifacts
 //	go run ./tools/benchdiff -ref bench -new bench-artifacts -strict
 //	go run ./tools/benchdiff -a bench -b bench-artifacts
-//	go run ./tools/benchdiff -a bench -b bench -suffix _f32
+//	go run ./tools/benchdiff -a bench -b bench -suffix _autotune
 //	go run ./tools/benchdiff -ref bench -new bench-artifacts -fabric tcp
 //
 // The -a/-b pair is the general two-directory form (-a is the baseline,
 // -b the candidate); -ref/-new remain as the regression-gate spelling and
 // the two pairs are interchangeable. With -suffix S, side B keeps only the
 // scenarios whose name ends in S, rekeyed without the suffix — so
-// `-a bench -b bench -suffix _f32` lines the committed mixed-precision
-// cells (medium_sync_f32, …) up against their float64 counterparts and
-// prints the measured speedup as a negative step-time delta.
+// `-a bench -b bench -suffix _autotune` lines the committed autotune cells
+// (dist_small_w4_commopt_autotune, …) up against their static counterparts
+// and prints the controller's overhead as the step-time delta.
 //
 // Scenarios are matched by their "scenario" field; entries present on only
 // one side are listed but never fail the run (the matrices may evolve).
@@ -41,7 +41,7 @@ import (
 
 // load reads every BENCH_*.json in dir, keyed by scenario. A non-empty
 // suffix keeps only scenarios ending in it and strips it from the key, so a
-// suffixed matrix slice (e.g. the _f32 cells) can be compared against its
+// suffixed matrix slice (e.g. the _autotune cells) can be compared against its
 // unsuffixed baseline. A non-empty fabric keeps only cells measured on that
 // transport — the committed references mix in-process w4 cells with
 // multi-process tcp w16/w32 cells, and a run covers one transport at a time.
@@ -105,7 +105,7 @@ func main() {
 		newDir    = flag.String("new", ".", "directory holding the fresh run's BENCH_*.json")
 		aDir      = flag.String("a", "", "baseline directory (general two-directory form; overrides -ref)")
 		bDir      = flag.String("b", "", "candidate directory (general two-directory form; overrides -new)")
-		suffix    = flag.String("suffix", "", "keep only side-B scenarios with this suffix, rekeyed without it (e.g. _f32)")
+		suffix    = flag.String("suffix", "", "keep only side-B scenarios with this suffix, rekeyed without it (e.g. _autotune)")
 		fabric    = flag.String("fabric", "", "compare only cells measured on this transport (local, inproc, tcp; empty = all)")
 		stepTol   = flag.Float64("step-tol", 0.50, "allowed relative step-time increase (0.50 = +50%)")
 		allocsTol = flag.Float64("allocs-tol", 0.10, "allowed relative allocs/step increase beyond the absolute slack")
